@@ -32,11 +32,11 @@
 //	netpipe -torus -shards 4 -gbn -schedule 'stall:5:400us:80us,burst:drop:data:0.2:200us:60us'
 //
 // The machine-scale torus halo exchange runs on the sharded parallel
-// kernel; -shards picks the lane count and -seq forces the sequential
-// reference (simulated results are bit-identical either way):
+// kernel; -shards picks the lane count, 1 being the sequential reference
+// (simulated results are bit-identical at every count):
 //
 //	netpipe -torus -shards 4
-//	netpipe -torus -seq -stats
+//	netpipe -torus -stats
 //
 // Host-side profiling (go tool pprof) works with every mode:
 //
@@ -140,7 +140,6 @@ func main() {
 	torus := flag.Bool("torus", false, "run a machine-scale torus workload instead of a netpipe curve")
 	dim := flag.Int("dim", 8, "torus dimension: dim^3 nodes (with -torus)")
 	shards := flag.Int("shards", 1, "event lanes for the sharded parallel kernel (with -torus)")
-	seq := flag.Bool("seq", false, "force the sequential reference kernel, shards=1 (with -torus)")
 	workload := flag.String("workload", "halo", "torus workload: halo, collective, random, hotspot or sweep (with -torus)")
 	steps := flag.Int("steps", 0, "iterations: halo exchange steps or collective rounds, 0 for the workload default (with -torus)")
 	msgs := flag.Int("msgs", 8, "messages per sender (with -workload random/hotspot/sweep)")
@@ -173,13 +172,9 @@ func main() {
 	p.FaultSeed = *faultSeed
 	// Flag validation happens here, before any machine exists, so a bad
 	// combination is a clear exit-2 diagnostic rather than a panic deep in
-	// construction (machine.seqOnly or a schedule-validation panic).
-	if *seq && *shards > 1 {
-		fmt.Fprintf(os.Stderr, "netpipe: conflicting flags: -seq forces the sequential reference kernel; drop -seq or -shards %d\n", *shards)
-		os.Exit(2)
-	}
+	// construction (a schedule-validation panic).
 	if (*progress || *hostprofOut != "") && !*torus {
-		fmt.Fprintln(os.Stderr, "netpipe: -progress/-hostprof profile the sharded kernel's lanes; they need -torus (classic runs profile with -cpuprofile)")
+		fmt.Fprintln(os.Stderr, "netpipe: -progress/-hostprof profile the sharded kernel's lanes; they need -torus (figure and series runs profile with -cpuprofile)")
 		os.Exit(2)
 	}
 	if *progressEvery <= 0 {
@@ -267,12 +262,8 @@ func main() {
 	case *ablations:
 		runAblations(p)
 	case *torus:
-		n := *shards
-		if *seq {
-			n = 1
-		}
 		runTorus(p, torusOpts{
-			workload: *workload, dim: *dim, shards: n, steps: *steps,
+			workload: *workload, dim: *dim, shards: *shards, steps: *steps,
 			msgs: *msgs, load: *load, loads: loadLadder,
 			hot: topo.NodeID(*hot), hotFrac: *hotFrac, wseed: *wseed,
 			gbn: *gbn, stats: *stats, telemetryOut: *telemetryOut, sampleUs: *sample,
@@ -711,7 +702,8 @@ func runSeries(p model.Params, series, pattern string, maxBytes int, accel, gbn 
 		fmt.Print(mach.Stats())
 	}
 	if (len(p.Faults) > 0 || len(p.Schedule) > 0) && mach != nil {
-		fmt.Printf("\nfault plane: %v\n", mach.Faults().Snapshot())
+		fs, _ := mach.FaultSnapshot()
+		fmt.Printf("\nfault plane: %v\n", fs)
 	}
 	if fr.on && mach != nil {
 		writeDumps(mach, fr.out)

@@ -65,7 +65,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	m := machine.New(model.Defaults(), tp)
+	m := machine.NewSharded(model.Defaults(), tp, 1)
 	m.OSKind = func(n topo.NodeID) oskernel.Kind {
 		if n == 0 {
 			return oskernel.Linux

@@ -12,6 +12,7 @@ package main
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 
 	"portals3/internal/machine"
 	"portals3/internal/model"
@@ -31,7 +32,9 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	m := machine.New(model.Defaults(), tp)
+	// One event lane per CPU; the simulated results are identical at any
+	// lane count.
+	m := machine.NewSharded(model.Defaults(), tp, runtime.GOMAXPROCS(0))
 
 	nodes := make([]topo.NodeID, tp.Nodes())
 	for i := range nodes {
@@ -108,5 +111,5 @@ func main() {
 	// A taste of the fabric counters: how busy was a middle node's +X link?
 	mid := tp.ID(topo.Coord{X: 1, Y: 1, Z: 1})
 	fmt.Printf("link utilization at node %d X+: %.1f%%\n",
-		mid, 100*m.Fab.LinkUtilization(mid, topo.Dir{Axis: topo.X, Sign: 1}))
+		mid, 100*m.LinkUtilization(mid, topo.Dir{Axis: topo.X, Sign: 1}))
 }

@@ -28,7 +28,7 @@ const (
 // latencyBetween measures one-way 8-byte put latency between two nodes of
 // a fresh Red Storm machine.
 func latencyBetween(rs *topo.Topology, na, nb topo.NodeID) sim.Time {
-	m := machine.New(model.Defaults(), rs)
+	m := machine.NewSharded(model.Defaults(), rs, 1)
 	var rtt sim.Time
 	setup := func(app *machine.App) (core.EQHandle, core.MDHandle) {
 		eq, _ := app.API.EQAlloc(256)
@@ -99,7 +99,7 @@ func main() {
 	// coordinate (3i, i, 2i) — the job spans dozens of hops yet only the
 	// eight touched nodes are ever instantiated.
 	fmt.Println("\nscattered 8-rank MPI job, allreduce across the machine:")
-	m := machine.New(model.Defaults(), rs)
+	m := machine.NewSharded(model.Defaults(), rs, 1)
 	var nodes []topo.NodeID
 	for i := 0; i < 8; i++ {
 		nodes = append(nodes, rs.ID(topo.Coord{X: 3 * i, Y: i, Z: 2 * i}))

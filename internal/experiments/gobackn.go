@@ -62,7 +62,7 @@ func runIncast(p model.Params, senders, msgsPerSender, msgBytes int, gbn bool) G
 	if err != nil {
 		panic(err)
 	}
-	m := machine.New(p, tp)
+	m := machine.NewSharded(p, tp, 1)
 	if gbn {
 		m.EnableGoBackN()
 	}
@@ -141,9 +141,7 @@ func runIncast(p model.Params, senders, msgsPerSender, msgBytes int, gbn bool) G
 		res.Retransmits += m.Node(topo.NodeID(s)).NIC.Stats.Retransmits
 		res.NacksRcvd += m.Node(topo.NodeID(s)).NIC.Stats.NacksRcvd
 	}
-	if len(p.Faults) > 0 {
-		res.Faults = m.Faults().Snapshot()
-	}
+	res.Faults, _ = m.FaultSnapshot()
 	return res
 }
 

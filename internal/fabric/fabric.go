@@ -9,6 +9,11 @@
 // wire.Header plus up to 12 inline payload bytes) followed by its payload
 // chunks, all following the same fixed path, so delivery order matches
 // injection order exactly as on the real machine.
+//
+// The transport is hop by hop (shard.go): each router hop is its own event
+// on the lane that owns the router, and every inter-node handoff travels
+// through the parallel kernel's mailboxes, so one simulated machine runs
+// across any number of event lanes with bit-identical results.
 package fabric
 
 import (
@@ -59,9 +64,8 @@ type Message struct {
 	// same span so the rewind reads as one causal chain.
 	Span uint64
 
-	// OnInjected, when set, is called once the header packet has been
-	// granted receiver credits and enters the wire — the moment the TX
-	// state machine considers the packet "sent".
+	// OnInjected, when set, is called once the header packet enters the
+	// wire — the moment the TX state machine considers the packet "sent".
 	OnInjected func()
 
 	// Rec is the message's latency-attribution record, carried from the
@@ -86,13 +90,12 @@ type Chunk struct {
 	Last bool   // true for the final chunk of the message
 
 	// Corrupt marks end-to-end corruption that slipped past the link CRCs
-	// (injected by tests via Fabric.CorruptNext); the receiver's CRC-32
-	// check catches it.
+	// (injected by a model.FaultCorrupt rule); the receiver's CRC-32 check
+	// catches it.
 	Corrupt bool
 
-	// OnInjected, when set, is called once the chunk has been granted
-	// receiver credits and enters the wire; the TX state machine uses it
-	// to recycle transmit FIFO space.
+	// OnInjected, when set, is called once the chunk enters the wire; the
+	// TX state machine uses it to recycle transmit FIFO space.
 	OnInjected func()
 }
 
@@ -109,7 +112,9 @@ type linkKey struct {
 	dir  topo.Dir
 }
 
-// Fabric wires the endpoints together.
+// Fabric is one event lane's share of the interconnect: the serial link
+// servers leaving the lane's routers, the carrier pools, the counters and
+// the observer handles. Only events on the lane touch it.
 type Fabric struct {
 	S    *sim.Sim
 	Topo *topo.Topology
@@ -122,10 +127,7 @@ type Fabric struct {
 	// attribution records of messages that die before delivery.
 	Tel *telemetry.Telemetry
 
-	links  map[linkKey]*sim.Server
-	eps    map[topo.NodeID]Endpoint
-	routes map[[2]topo.NodeID][]topo.Dir // routing is fixed-path, so cache per pair
-	nextID uint64
+	links map[linkKey]*sim.Server
 
 	// Link-contention meters (linkstats.go), live only while Tel is set.
 	meters    map[linkKey]*LinkMeter
@@ -135,57 +137,20 @@ type Fabric struct {
 	// chunkFree recycles chunk carriers and their payload buffers between
 	// messages. A chunk cycles sender → wire → receiver and comes back via
 	// RecycleChunk once the receiver has consumed the bytes; pooling keeps
-	// the per-chunk data path allocation-free. sendFree does the same for
-	// the injection carriers that walk a header or chunk through credit
-	// grant and traversal.
+	// the per-chunk data path allocation-free. walkFree does the same for
+	// the walkers that carry a header or chunk hop by hop.
 	chunkFree []*Chunk
 	// msgFree recycles message carriers; see RecycleMsg for the ownership
 	// rule.
 	msgFree  []*Message
-	sendFree []*sendOp
-
-	// corruptNext counts messages whose payload should be corrupted
-	// end-to-end (test fault injection).
-	corruptNext int
-
-	// plane, when non-nil, filters every injection through the seeded
-	// fault-injection rules (see faults.go). Fault-free fabrics keep it
-	// nil and pay one pointer test per injection.
-	plane *FaultPlane
+	walkFree []*walker
 
 	Stats Stats
 }
 
-// New returns a fabric over the given topology.
-func New(s *sim.Sim, t *topo.Topology, p *model.Params) *Fabric {
-	f := &Fabric{
-		S:      s,
-		Topo:   t,
-		P:      p,
-		links:  make(map[linkKey]*sim.Server),
-		eps:    make(map[topo.NodeID]Endpoint),
-		routes: make(map[[2]topo.NodeID][]topo.Dir),
-	}
-	if len(p.Faults) > 0 || p.FaultSeed != 0 || len(p.Schedule) > 0 {
-		f.Faults() // params-configured rules activate the plane immediately
-	}
-	return f
+func newFabric(s *sim.Sim, t *topo.Topology, p *model.Params) *Fabric {
+	return &Fabric{S: s, Topo: t, P: p, links: make(map[linkKey]*sim.Server)}
 }
-
-// Attach registers the endpoint for node. Attaching twice panics: it is a
-// machine-assembly bug.
-func (f *Fabric) Attach(node topo.NodeID, ep Endpoint) {
-	if !f.Topo.Valid(node) {
-		panic(fmt.Sprintf("fabric: attach to invalid node %d", node))
-	}
-	if _, dup := f.eps[node]; dup {
-		panic(fmt.Sprintf("fabric: node %d attached twice", node))
-	}
-	f.eps[node] = ep
-}
-
-// Endpoint returns the endpoint attached to node, or nil.
-func (f *Fabric) Endpoint(node topo.NodeID) Endpoint { return f.eps[node] }
 
 // link returns (creating on first use) the serial resource for the directed
 // link leaving node in direction d.
@@ -224,52 +189,6 @@ func (f *Fabric) RecycleChunk(c *Chunk) {
 	c.Corrupt = false
 	c.OnInjected = nil
 	f.chunkFree = append(f.chunkFree, c)
-}
-
-// CorruptNext arranges for the next n injected payload-bearing messages to
-// have one payload byte flipped in a way that evades the link-level CRC
-// (modeling the rare multi-bit error the end-to-end CRC-32 exists to catch).
-func (f *Fabric) CorruptNext(n int) { f.corruptNext += n }
-
-// NewMessage allocates a message with a fresh ID and the end-to-end CRC
-// computed over the full payload. The payload slice is only read here (for
-// the CRC); the actual bytes travel in chunks read from host memory at DMA
-// time by the sending NIC.
-func (f *Fabric) NewMessage(hdr wire.Header, src, dst topo.NodeID, payload []byte) *Message {
-	f.nextID++
-	m := f.getMsg()
-	m.ID = f.nextID
-	m.Hdr = hdr
-	m.Src = src
-	m.Dst = dst
-	m.CRC = wire.CRC32(&hdr, payload)
-	n := len(payload)
-	inline := 0
-	if n <= f.P.InlineDataMax && hdr.Type != wire.TypeGet && hdr.Type != wire.TypeAck {
-		inline = n
-		m.Inline = m.inlBuf[:inline]
-		copy(m.Inline, payload[:inline])
-		m.Hdr.InlineLen = uint8(inline)
-		m.CRC = wire.CRC32(&m.Hdr, payload) // InlineLen is part of the header
-	}
-	m.PayloadLen = n - inline
-	return m
-}
-
-// NewStream allocates a message whose payload will be produced
-// incrementally by a TX DMA engine: no CRC is computed here (the sender
-// accumulates it while reading chunks and stores it with SetCRC before the
-// final chunk is injected) and inlining is the sender's explicit decision
-// via SetInline.
-func (f *Fabric) NewStream(hdr wire.Header, src, dst topo.NodeID, payloadLen int) *Message {
-	f.nextID++
-	m := f.getMsg()
-	m.ID = f.nextID
-	m.Hdr = hdr
-	m.Src = src
-	m.Dst = dst
-	m.PayloadLen = payloadLen
-	return m
 }
 
 // getMsg takes a zeroed message from the free list or allocates one.
@@ -317,214 +236,6 @@ func (m *Message) SetInline(data []byte) {
 // before the final chunk (or, for chunkless messages, the header) is
 // injected so the receiver's check reads the final value.
 func (m *Message) SetCRC(crc uint32) { m.CRC = crc }
-
-// transmissions samples how many times a packet group of nbytes must cross
-// one link before the 16-bit CRC passes. With a zero bit-error rate this is
-// always 1 and consumes no randomness (keeping fault-free runs identical
-// regardless of RNG state).
-func (f *Fabric) transmissions(nbytes int) int {
-	ber := f.P.LinkBitErrorRate
-	if ber <= 0 {
-		return 1
-	}
-	packets := (nbytes + f.P.PacketBytes - 1) / f.P.PacketBytes
-	pOK := 1.0
-	for i := 0; i < packets; i++ {
-		pOK *= 1 - ber
-	}
-	n := 1
-	for f.S.Rand().Float64() > pOK {
-		n++
-		f.Stats.LinkRetries++
-		if n > 64 {
-			break // a link this sick would be routed around by RAS; cap it
-		}
-	}
-	return n
-}
-
-// traverse reserves the fixed path from src to dst for nbytes and schedules
-// deliver at the arrival time. Reservation happens at injection time; since
-// every server is FIFO and every message between a pair takes the same
-// path, per-flow ordering is exact (cross-flow interleaving is approximated
-// at chunk granularity).
-func (f *Fabric) traverse(src, dst topo.NodeID, nbytes int, deliver func()) {
-	t := f.S.Now() + f.P.InjectLatency
-	cur := src
-	route := f.route(src, dst)
-	for _, d := range route {
-		k := f.transmissions(nbytes)
-		dur := sim.BytesAt(int64(nbytes), f.P.LinkBps)
-		occupancy := sim.Time(k)*dur + sim.Time(k-1)*f.P.LinkRetryDelay
-		t = f.linkReserve(cur, d, t, occupancy, len(route)) + f.P.HopLatency
-		next, ok := f.Topo.Neighbor(cur, d)
-		if !ok {
-			panic("fabric: route fell off the mesh")
-		}
-		cur = next
-	}
-	if cur != dst {
-		panic("fabric: route did not reach destination")
-	}
-	// Loopback (src == dst) still pays injection+ejection through the NIC.
-	f.S.At(t+f.P.InjectLatency, deliver)
-}
-
-// route returns (caching) the fixed dimension-ordered path src→dst.
-func (f *Fabric) route(src, dst topo.NodeID) []topo.Dir {
-	route, ok := f.routes[[2]topo.NodeID{src, dst}]
-	if !ok {
-		route = f.Topo.Route(src, dst)
-		f.routes[[2]topo.NodeID{src, dst}] = route
-	}
-	return route
-}
-
-// sendOp walks one header packet or payload chunk through its two deferred
-// steps — credit grant at the receiver window, then traversal and delivery.
-// The step callbacks are bound once and the carrier recycled at delivery, so
-// injection allocates nothing.
-type sendOp struct {
-	f       *Fabric
-	ep      Endpoint
-	m       *Message // header injection when c is nil
-	c       *Chunk   // chunk injection otherwise
-	hdrTake func()   // header credits granted: inject and traverse
-	hdrArr  func()   // header packet arrived
-	chTake  func()   // chunk credits granted: inject and traverse
-	chArr   func()   // chunk arrived
-}
-
-func (f *Fabric) getSendOp() *sendOp {
-	if k := len(f.sendFree); k > 0 {
-		s := f.sendFree[k-1]
-		f.sendFree = f.sendFree[:k-1]
-		return s
-	}
-	s := &sendOp{f: f}
-	s.hdrTake = s.headerTaken
-	s.hdrArr = s.headerArrived
-	s.chTake = s.chunkTaken
-	s.chArr = s.chunkArrived
-	return s
-}
-
-func (s *sendOp) headerTaken() {
-	f, m := s.f, s.m
-	if m.Rec != nil {
-		m.Rec.Stamp(telemetry.StampWire, f.S.Now())
-		m.Rec.SetHops(len(f.route(m.Src, m.Dst)))
-	}
-	if m.OnInjected != nil {
-		m.OnInjected()
-	}
-	// Building the trace labels (the name strings and args maps)
-	// allocates; skip it all on the tracing-off hot path.
-	if f.Trace.Enabled() {
-		f.Trace.Instant(int(m.Src), trace.TrackWire, "net", "tx "+m.Hdr.Type.String(), f.S.Now(),
-			map[string]interface{}{"msg": m.ID, "dst": m.Dst, "len": m.PayloadLen + len(m.Inline)})
-	}
-	f.traverse(m.Src, m.Dst, f.P.PacketBytes, s.hdrArr)
-}
-
-func (s *sendOp) headerArrived() {
-	f, ep, m := s.f, s.ep, s.m
-	s.ep, s.m = nil, nil
-	f.sendFree = append(f.sendFree, s)
-	m.Rec.Stamp(telemetry.StampRxHdr, f.S.Now())
-	if f.plane != nil {
-		f.plane.noteDelivered(m)
-	}
-	if f.Trace.Enabled() {
-		f.Trace.Instant(int(m.Dst), trace.TrackWire, "net", "rx hdr "+m.Hdr.Type.String(), f.S.Now(),
-			map[string]interface{}{"msg": m.ID, "src": m.Src})
-	}
-	ep.HeaderArrived(m)
-	if m.PayloadLen == 0 {
-		f.Stats.Delivered++
-	}
-}
-
-func (s *sendOp) chunkTaken() {
-	f, c := s.f, s.c
-	if c.OnInjected != nil {
-		c.OnInjected()
-	}
-	f.traverse(c.Msg.Src, c.Msg.Dst, len(c.Data), s.chArr)
-}
-
-func (s *sendOp) chunkArrived() {
-	f, ep, c := s.f, s.ep, s.c
-	s.ep, s.c = nil, nil
-	f.sendFree = append(f.sendFree, s)
-	ep.ChunkArrived(c)
-	if c.Last {
-		f.Stats.Delivered++
-		if f.Trace.Enabled() {
-			m := c.Msg
-			f.Trace.Instant(int(m.Dst), trace.TrackWire, "net", "rx last chunk", f.S.Now(),
-				map[string]interface{}{"msg": m.ID, "src": m.Src})
-		}
-	}
-}
-
-// SendHeader injects the message's header packet. It consumes header-packet
-// credits from the receiver window (returned by the receiving NIC once the
-// header has been pushed to the host) and delivers via HeaderArrived.
-func (f *Fabric) SendHeader(m *Message) {
-	if f.eps[m.Dst] == nil {
-		panic(fmt.Sprintf("fabric: no endpoint at node %d", m.Dst))
-	}
-	f.Stats.Messages++
-	if f.plane != nil && f.plane.filterHeader(m) {
-		return
-	}
-	f.sendHeaderNow(m)
-}
-
-// sendHeaderNow is the fault-free injection path; the fault plane calls it
-// for duplicated, delayed and resumed headers, bypassing rule evaluation.
-func (f *Fabric) sendHeaderNow(m *Message) {
-	ep := f.eps[m.Dst]
-	s := f.getSendOp()
-	s.ep = ep
-	s.m = m
-	ep.RxWindow().Take(int64(f.P.PacketBytes), s.hdrTake)
-}
-
-// SendChunk injects payload bytes. The caller (the TX DMA model) must send
-// chunks of a message in order, after its header. Credits for the chunk are
-// taken before the wire is used — the receiver's bounded FIFO backpressures
-// the sender exactly as link-level flow control does on the real machine.
-func (f *Fabric) SendChunk(c *Chunk) {
-	m := c.Msg
-	if f.eps[m.Dst] == nil {
-		panic(fmt.Sprintf("fabric: no endpoint at node %d", m.Dst))
-	}
-	if f.corruptNext > 0 && c.Last {
-		// Flip a bit in the last chunk; recompute nothing — the end-to-end
-		// CRC carried in the message no longer matches.
-		f.corruptNext--
-		c.Corrupt = true
-		if len(c.Data) > 0 {
-			c.Data[len(c.Data)/2] ^= 0x40
-		}
-	}
-	f.Stats.Chunks++
-	if f.plane != nil && f.plane.filterChunk(c) {
-		return
-	}
-	f.sendChunkNow(c)
-}
-
-// sendChunkNow is the fault-free chunk injection path (see sendHeaderNow).
-func (f *Fabric) sendChunkNow(c *Chunk) {
-	ep := f.eps[c.Msg.Dst]
-	s := f.getSendOp()
-	s.ep = ep
-	s.c = c
-	ep.RxWindow().Take(int64(len(c.Data)), s.chTake)
-}
 
 // LinkUtilization reports the utilization of the directed link leaving node
 // in direction d (zero if the link was never used).

@@ -1,17 +1,18 @@
 // The fault-injection plane: a deterministic, seeded layer between message
-// injection (SendHeader/SendChunk) and the fabric's normal credit-and-
-// traverse path. It implements the loss, duplication, delay/reorder,
-// link-down and node-stall scenarios that make the go-back-n recovery
-// protocol's timeout and duplicate paths reachable in tests (paper §4.3
-// describes the protocol; APEnet+ and MVAPICH validate equivalent NIC-level
+// injection (SendHeader/SendChunk) and the fabric's hop walk. It implements
+// the loss, duplication, delay/reorder, corruption, link-down and
+// node-stall scenarios that make the go-back-n recovery protocol's timeout
+// and duplicate paths reachable in tests (paper §4.3 describes the
+// protocol; APEnet+ and MVAPICH validate equivalent NIC-level
 // retransmission logic exactly this way).
 //
-// Determinism contract. The plane owns a private PRNG seeded from
-// Params.FaultSeed and consumes randomness only when a rule's probability
-// is evaluated, in injection order — which the simulator already makes
-// deterministic. It never draws from the simulator's RNG, so enabling
-// faults cannot perturb the base timing model, and a given
-// (topology, workload, Faults, FaultSeed) tuple replays bit-identically.
+// Determinism contract. Each source node owns a plane with a private PRNG
+// seeded from Params.FaultSeed and the node id, and consumes randomness
+// only when a rule's probability is evaluated, in the node's injection
+// order — which the simulator makes deterministic at any shard count. It
+// never draws from the simulator's RNG, so enabling faults cannot perturb
+// the base timing model, and a given (topology, workload, Faults,
+// FaultSeed) tuple replays bit-identically.
 //
 // Fault granularity is the message: a fate decided at header injection
 // (drop, duplicate, delay) applies to the header and every payload chunk,
@@ -51,6 +52,10 @@ type FaultStats struct {
 	Dups        uint64 // frames delivered twice
 	Delays      uint64 // frames delivered late (delay and reorder rules)
 	Stalls      uint64 // frames held at a stalled destination node
+	// Corrupts counts payloads corrupted past the link CRC. They are
+	// delivered and flagged by the end-to-end CRC, not lost, so they open
+	// no ledger entry and stay out of Injected.
+	Corrupts uint64
 
 	Recovered uint64 // ledger entries closed by delivery or accepted retransmission
 	Condemned uint64 // ledger entries closed by discarding a redundant/unrecoverable copy
@@ -68,17 +73,22 @@ func (s FaultStats) Injected() uint64 {
 func (s FaultStats) Open() uint64 { return s.Injected() - s.Recovered - s.Condemned }
 
 func (s FaultStats) String() string {
-	return fmt.Sprintf("injected=%d (drops data=%d fcack=%d fcnack=%d link=%d, dups=%d, delays=%d, stalls=%d) recovered=%d condemned=%d open=%d",
+	out := fmt.Sprintf("injected=%d (drops data=%d fcack=%d fcnack=%d link=%d, dups=%d, delays=%d, stalls=%d) recovered=%d condemned=%d open=%d",
 		s.Injected(), s.DropsData, s.DropsFcAck, s.DropsFcNack, s.DropsLink,
 		s.Dups, s.Delays, s.Stalls, s.Recovered, s.Condemned, s.Open())
+	if s.Corrupts > 0 {
+		out += fmt.Sprintf(" corrupts=%d", s.Corrupts)
+	}
+	return out
 }
 
 // msgFate records the fault a chunked message's header drew, so its payload
 // chunks share it. Keyed by message ID; removed at the last chunk.
 type msgFate struct {
-	doomed bool     // drop: swallow every chunk
-	dup    *Message // duplicate: clone every chunk for this copy
-	delay  sim.Time // delay/reorder: reinject every chunk this much late
+	doomed  bool     // drop: swallow every chunk
+	corrupt bool     // corrupt: flip a payload bit in the last chunk
+	dup     *Message // duplicate: clone every chunk for this copy
+	delay   sim.Time // delay/reorder: reinject every chunk this much late
 }
 
 // dropKey identifies a dropped go-back-n data frame: the ledger entry
@@ -88,11 +98,12 @@ type dropKey struct {
 	seq      uint32
 }
 
-// FaultPlane applies fault rules to a fabric's injections. Obtain one with
-// Fabric.Faults(); all methods must run at simulation time (single
-// goroutine), like the rest of the fabric.
+// FaultPlane applies fault rules to one source node's injections. The
+// cluster builds one per node when Params configures faults; all methods
+// run on the node's lane, at simulation time.
 type FaultPlane struct {
-	f   *Fabric
+	pt  *NodePort
+	f   *Fabric // pt's lane fabric
 	rng *rand.Rand
 
 	rules []model.FaultRule
@@ -125,44 +136,18 @@ type FaultPlane struct {
 	// instead of waiting forever.
 	accepted map[flowPair]uint32
 
-	// Injection indirection: where a surviving (or cloned, delayed,
-	// resumed) frame re-enters the fabric, and where clone IDs come from.
-	// The classic whole-fabric plane binds these to sendHeaderNow/
-	// sendChunkNow and the fabric ID counter; the sharded per-source-node
-	// planes bind them to the hopwise path and the node's ID space.
-	sendHeader func(*Message)
-	sendChunk  func(*Chunk)
-	newID      func() uint64
-
 	Stats FaultStats
 }
 
 // flowPair keys per-flow state (a dropKey without the sequence).
 type flowPair struct{ src, dst topo.NodeID }
 
-func newFaultPlane(f *Fabric) *FaultPlane {
-	seed := f.P.FaultSeed
-	if seed == 0 {
-		seed = defaultFaultSeed
-	}
-	p := newFaultPlaneSeeded(f, seed)
-	p.sendHeader = f.sendHeaderNow
-	p.sendChunk = f.sendChunkNow
-	p.newID = func() uint64 { f.nextID++; return f.nextID }
-	for _, r := range f.P.Faults {
-		p.AddRule(r)
-	}
-	for _, r := range f.P.Schedule.Rules() {
-		p.AddRule(r)
-	}
-	return p
-}
-
-// newFaultPlaneSeeded builds an empty plane with its own PRNG; the caller
-// wires the injection indirection and rules.
-func newFaultPlaneSeeded(f *Fabric, seed int64) *FaultPlane {
-	return &FaultPlane{
-		f:        f,
+// newFaultPlane builds node pt's plane with its own PRNG and installs the
+// rules Params declares: Faults, then the schedule's burst windows.
+func newFaultPlane(pt *NodePort, seed int64) *FaultPlane {
+	p := &FaultPlane{
+		pt:       pt,
+		f:        pt.f,
 		rng:      rand.New(rand.NewSource(seed)),
 		fates:    make(map[uint64]*msgFate),
 		stalled:  make(map[topo.NodeID][]func()),
@@ -172,46 +157,17 @@ func newFaultPlaneSeeded(f *Fabric, seed int64) *FaultPlane {
 		msgOpen:  make(map[uint64]int),
 		accepted: make(map[flowPair]uint32),
 	}
-}
-
-// Faults returns the fabric's fault plane, creating it on first use.
-// Fault-free fabrics never create one and pay only a nil test per
-// injection.
-func (f *Fabric) Faults() *FaultPlane {
-	if f.plane == nil {
-		f.plane = newFaultPlane(f)
+	for _, r := range pt.f.P.Faults {
+		p.AddRule(r)
 	}
-	return f.plane
-}
-
-// FaultSnapshot returns the plane's counters without activating a plane;
-// ok is false when no fault was ever configured (the counters are zero).
-func (f *Fabric) FaultSnapshot() (FaultStats, bool) {
-	if f.plane == nil {
-		return FaultStats{}, false
+	for _, r := range pt.f.P.Schedule.Rules() {
+		p.AddRule(r)
 	}
-	return f.plane.Stats, true
+	return p
 }
 
-// FaultAccepted tells the plane the receiving firmware accepted a data
-// message (its go-back-n sequence committed). No-op without a plane.
-func (f *Fabric) FaultAccepted(m *Message) {
-	if f.plane != nil {
-		f.plane.noteAccepted(m)
-	}
-}
-
-// FaultCondemned tells the plane the receiving firmware condemned a
-// message (duplicate, gap, exhaustion or dead-pid discard). No-op without
-// a plane.
-func (f *Fabric) FaultCondemned(m *Message) {
-	if f.plane != nil {
-		f.plane.noteCondemned(m)
-	}
-}
-
-// AddRule appends one rule at runtime. Rules are evaluated in insertion
-// order; the first match wins.
+// AddRule appends one rule. Rules are evaluated in insertion order; the
+// first match wins.
 func (p *FaultPlane) AddRule(r model.FaultRule) {
 	if (r.Kind == model.FaultDelay || r.Kind == model.FaultReorder) && r.Delay <= 0 {
 		panic("fabric: delay/reorder fault rule needs a positive Delay")
@@ -220,25 +176,16 @@ func (p *FaultPlane) AddRule(r model.FaultRule) {
 	p.fired = append(p.fired, 0)
 }
 
-// Snapshot returns the plane's counters by value.
-func (p *FaultPlane) Snapshot() FaultStats { return p.Stats }
-
-// ---- Runtime scenario hooks ----
+// ---- Scenario hooks (planted by the machine's fault schedule) ----
 
 // LinkDown takes the directed link leaving node in direction d out of
 // service: messages whose fixed path crosses it are dropped at injection.
-// Messages already launched keep streaming (the wire abstraction commits a
-// message at header injection).
+// Messages already launched keep streaming (a message's fate is decided at
+// header injection).
 func (p *FaultPlane) LinkDown(node topo.NodeID, d topo.Dir) { p.down[linkKey{node, d}] = true }
 
 // LinkUp restores a downed link.
 func (p *FaultPlane) LinkUp(node topo.NodeID, d topo.Dir) { delete(p.down, linkKey{node, d}) }
-
-// LinkDownFor takes a link down now and schedules its restoration.
-func (p *FaultPlane) LinkDownFor(node topo.NodeID, d topo.Dir, dur sim.Time) {
-	p.LinkDown(node, d)
-	p.f.S.After(dur, func() { p.LinkUp(node, d) })
-}
 
 // StallNode holds every injection destined to node, in order, until
 // ResumeNode — a hung NIC whose wire-side buffering absorbs traffic.
@@ -258,12 +205,6 @@ func (p *FaultPlane) ResumeNode(node topo.NodeID) {
 	for _, inject := range q {
 		inject()
 	}
-}
-
-// StallNodeFor stalls a node now and schedules its resume.
-func (p *FaultPlane) StallNodeFor(node topo.NodeID, dur sim.Time) {
-	p.StallNode(node)
-	p.f.S.After(dur, func() { p.ResumeNode(node) })
 }
 
 // CorruptLedger opens one ledger entry that nothing will ever close —
@@ -288,11 +229,16 @@ func frameClassOf(m *Message) model.FrameClass {
 // decide returns the first rule that matches and fires for this frame, or
 // nil. Randomness is consumed only for probability checks of rules whose
 // static scope matched, in rule order — part of the determinism contract.
-func (p *FaultPlane) decide(class model.FrameClass, src, dst topo.NodeID) *model.FaultRule {
+// Corruption rules only match messages that carry payload chunks.
+func (p *FaultPlane) decide(m *Message, class model.FrameClass) *model.FaultRule {
 	now := p.f.S.Now()
+	src, dst := m.Src, m.Dst
 	for i := range p.rules {
 		r := &p.rules[i]
 		if r.Count > 0 && p.fired[i] >= r.Count {
+			continue
+		}
+		if r.Kind == model.FaultCorrupt && m.PayloadLen == 0 {
 			continue
 		}
 		if now < r.After || (r.Until > 0 && now >= r.Until) {
@@ -321,16 +267,13 @@ func (p *FaultPlane) pathDown(src, dst topo.NodeID) bool {
 	if len(p.down) == 0 {
 		return false
 	}
-	cur := src
-	for _, d := range p.f.route(src, dst) {
+	t := p.f.Topo
+	for cur := src; cur != dst; {
+		d, _ := t.NextHop(cur, dst)
 		if p.down[linkKey{cur, d}] {
 			return true
 		}
-		next, ok := p.f.Topo.Neighbor(cur, d)
-		if !ok {
-			return false
-		}
-		cur = next
+		cur, _ = t.Neighbor(cur, d)
 	}
 	return false
 }
@@ -345,7 +288,7 @@ func (p *FaultPlane) filterHeader(m *Message) bool {
 		p.dropMsg(m, class, true)
 		return true
 	}
-	r := p.decide(class, m.Src, m.Dst)
+	r := p.decide(m, class)
 	if r == nil {
 		if _, ok := p.stalled[m.Dst]; ok {
 			p.injectHeader(m)
@@ -366,6 +309,13 @@ func (p *FaultPlane) filterHeader(m *Message) bool {
 		}
 		p.injectHeader(m)
 		p.injectHeader(m2)
+	case model.FaultCorrupt:
+		// Not a loss: the receiver's CRC-32 flags the delivery, so the
+		// ledger opens no entry.
+		p.Stats.Corrupts++
+		p.count("corrupt", class)
+		p.fates[m.ID] = &msgFate{corrupt: true}
+		p.injectHeader(m)
 	case model.FaultDelay, model.FaultReorder:
 		d := r.Delay
 		if r.Kind == model.FaultReorder {
@@ -393,6 +343,14 @@ func (p *FaultPlane) filterChunk(c *Chunk) bool {
 		switch {
 		case fate.doomed:
 			p.swallowChunk(c)
+		case fate.corrupt:
+			if c.Last && len(c.Data) > 0 {
+				// Flip a bit the link CRCs missed; the end-to-end CRC
+				// carried in the message no longer matches.
+				c.Corrupt = true
+				c.Data[len(c.Data)/2] ^= 0x40
+			}
+			p.injectChunk(c)
 		case fate.dup != nil:
 			c2 := p.cloneChunk(c, fate.dup)
 			p.injectChunk(c)
@@ -418,18 +376,18 @@ func (p *FaultPlane) injectHeader(m *Message) {
 		p.Stats.Stalls++
 		p.count("stall", frameClassOf(m))
 		p.msgOpen[m.ID]++
-		p.stalled[m.Dst] = append(q, func() { p.sendHeader(m) })
+		p.stalled[m.Dst] = append(q, func() { p.pt.launchHeader(m) })
 		return
 	}
-	p.sendHeader(m)
+	p.pt.launchHeader(m)
 }
 
 func (p *FaultPlane) injectChunk(c *Chunk) {
 	if q, ok := p.stalled[c.Msg.Dst]; ok {
-		p.stalled[c.Msg.Dst] = append(q, func() { p.sendChunk(c) })
+		p.stalled[c.Msg.Dst] = append(q, func() { p.pt.launchChunk(c) })
 		return
 	}
-	p.sendChunk(c)
+	p.pt.launchChunk(c)
 }
 
 // dropMsg discards a message at injection. The sender's TX state machine
@@ -495,7 +453,7 @@ func (p *FaultPlane) swallowChunk(c *Chunk) {
 func (p *FaultPlane) cloneMsg(m *Message) *Message {
 	f := p.f
 	m2 := f.getMsg()
-	m2.ID = p.newID()
+	m2.ID = p.pt.allocID()
 	m2.Hdr = m.Hdr
 	m2.Src = m.Src
 	m2.Dst = m.Dst

@@ -1,14 +1,11 @@
-// Sharded fabric: the hopwise store-and-forward transport that lets one
-// simulated machine run across the parallel kernel's event lanes.
+// The hop-by-hop transport that lets one simulated machine run across the
+// parallel kernel's event lanes.
 //
-// The classic Fabric reserves a message's whole fixed path at injection
-// time — an optimization that is exact on a single event lane but couples
-// every node's state at zero latency. Here each hop is its own event,
-// executed on the lane that owns the current router, and every inter-node
-// handoff travels through the kernel's cross-shard mailboxes. The minimum
-// handoff distance — one link occupancy plus the per-hop wire latency —
-// is the conservative lookahead bound the kernel synchronizes on
-// (MinHandoffLatency).
+// Each hop is its own event, executed on the lane that owns the current
+// router, and every inter-node handoff travels through the kernel's
+// cross-shard mailboxes. The minimum handoff distance — one link occupancy
+// plus the per-hop wire latency — is the conservative lookahead bound the
+// kernel synchronizes on (MinHandoffLatency).
 //
 // Node state is partitioned by lane: each lane owns a Fabric instance
 // (object pools, link servers, counters, telemetry handle) and each node a
@@ -20,6 +17,7 @@ package fabric
 
 import (
 	"fmt"
+	"math/rand/v2"
 
 	"portals3/internal/model"
 	"portals3/internal/sim"
@@ -29,33 +27,13 @@ import (
 	"portals3/internal/wire"
 )
 
-// Port is the fabric surface a NIC holds: injection, carrier pooling and
-// fault-ledger notification. The classic *Fabric implements it directly;
-// sharded machines hand each NIC its node's *NodePort.
-type Port interface {
-	Attach(node topo.NodeID, ep Endpoint)
-	NewStream(hdr wire.Header, src, dst topo.NodeID, payloadLen int) *Message
-	SendHeader(m *Message)
-	SendChunk(c *Chunk)
-	AllocChunk(n int) *Chunk
-	RecycleChunk(c *Chunk)
-	RecycleMsg(m *Message)
-	FaultAccepted(m *Message)
-	FaultCondemned(m *Message)
-}
-
-var (
-	_ Port = (*Fabric)(nil)
-	_ Port = (*NodePort)(nil)
-)
-
 // MinHandoffLatency is the smallest virtual-time distance of any
 // inter-node handoff in the hopwise transport: every hop pays at least one
 // link occupancy (> 0) plus HopLatency before the next node is touched, so
 // HopLatency is a safe conservative lookahead for the sharded kernel.
 func MinHandoffLatency(p *model.Params) sim.Time { return p.HopLatency }
 
-// Cluster is the sharded fabric: one Fabric per lane, one NodePort per
+// Cluster is the machine's fabric: one Fabric per lane, one NodePort per
 // node, and the endpoint directory shared by all lanes (written only
 // during machine assembly, read-only while the kernel runs).
 type Cluster struct {
@@ -70,12 +48,24 @@ type Cluster struct {
 	faulty bool
 }
 
+// nodeSeed derives node id's private PRNG seed from Params.FaultSeed, so
+// per-node random decisions do not depend on how nodes interleave within
+// a lane.
+func nodeSeed(p *model.Params, id topo.NodeID) int64 {
+	base := p.FaultSeed
+	if base == 0 {
+		base = defaultFaultSeed
+	}
+	return base ^ (int64(id+1) * 0x9e3779b97f4a7c1)
+}
+
+// linkSeedSalt separates a node's link-retry stream from its fault-plane
+// stream, which share nodeSeed.
+const linkSeedSalt = 0x6c696e6b43524332
+
 // NewCluster partitions the topology's nodes over the kernel's lanes.
 // laneOf must be a pure function mapping every node to a lane in range.
 func NewCluster(kern *sim.Kernel, t *topo.Topology, p *model.Params, laneOf func(topo.NodeID) int) *Cluster {
-	if p.LinkBitErrorRate > 0 {
-		panic("fabric: sharded cluster requires LinkBitErrorRate=0 (link-retry sampling draws lane-local randomness)")
-	}
 	n := t.Nodes()
 	cl := &Cluster{
 		Kern:   kern,
@@ -88,53 +78,26 @@ func NewCluster(kern *sim.Kernel, t *topo.Topology, p *model.Params, laneOf func
 		faulty: len(p.Faults) > 0 || p.FaultSeed != 0 || len(p.Schedule) > 0,
 	}
 	for i := range cl.lanes {
-		cl.lanes[i] = newBareFabric(kern.Lane(i), t, p)
-	}
-	base := p.FaultSeed
-	if base == 0 {
-		base = defaultFaultSeed
+		cl.lanes[i] = newFabric(kern.Lane(i), t, p)
 	}
 	for id := 0; id < n; id++ {
-		lane := laneOf(topo.NodeID(id))
+		nid := topo.NodeID(id)
+		lane := laneOf(nid)
 		if lane < 0 || lane >= kern.Shards() {
 			panic(fmt.Sprintf("fabric: node %d mapped to lane %d of %d", id, lane, kern.Shards()))
 		}
 		cl.laneOf[id] = lane
-		pt := &NodePort{cl: cl, node: topo.NodeID(id), lane: lane, f: cl.lanes[lane]}
+		pt := &NodePort{cl: cl, node: nid, lane: lane, f: cl.lanes[lane]}
 		if cl.faulty {
 			// Per-source-node plane: rules are evaluated where injections
-			// happen, with a node-private PRNG stream so decisions do not
-			// depend on how nodes interleave within a lane. Rule Count
-			// limits consequently apply per source node (documented in
-			// DESIGN.md §11).
-			pl := newFaultPlaneSeeded(pt.f, base^(int64(id+1)*0x9e3779b97f4a7c1))
-			pl.sendHeader = pt.launchHeader
-			pl.sendChunk = pt.launchChunk
-			pl.newID = pt.allocID
-			for _, r := range p.Faults {
-				pl.AddRule(r)
-			}
-			for _, r := range p.Schedule.Rules() {
-				pl.AddRule(r)
-			}
-			pt.plane = pl
+			// happen, with a node-private PRNG stream. Rule Count limits
+			// consequently apply per source node (documented in DESIGN.md
+			// §11).
+			pt.plane = newFaultPlane(pt, nodeSeed(p, nid))
 		}
 		cl.ports[id] = pt
 	}
 	return cl
-}
-
-// newBareFabric builds a Fabric without fault-plane activation — the
-// cluster manages per-node planes itself.
-func newBareFabric(s *sim.Sim, t *topo.Topology, p *model.Params) *Fabric {
-	return &Fabric{
-		S:      s,
-		Topo:   t,
-		P:      p,
-		links:  make(map[linkKey]*sim.Server),
-		eps:    make(map[topo.NodeID]Endpoint),
-		routes: make(map[[2]topo.NodeID][]topo.Dir),
-	}
 }
 
 // Port returns node id's injection interface.
@@ -192,14 +155,15 @@ func (cl *Cluster) FaultSnapshot() (FaultStats, bool) {
 		out.Dups += s.Dups
 		out.Delays += s.Delays
 		out.Stalls += s.Stalls
+		out.Corrupts += s.Corrupts
 		out.Recovered += s.Recovered
 		out.Condemned += s.Condemned
 	}
 	return out, true
 }
 
-// NodePort is one node's fabric interface on a sharded machine. All its
-// methods run on the node's own lane.
+// NodePort is one node's fabric interface. All its methods run on the
+// node's own lane.
 type NodePort struct {
 	cl   *Cluster
 	node topo.NodeID
@@ -209,7 +173,12 @@ type NodePort struct {
 	nextID  uint64 // per-node message ID sequence (IDs are (node+1)<<32 | seq)
 	postSeq uint64 // per-node mailbox ordering sequence, shard-invariant
 
-	plane *FaultPlane // per-source-node fault plane, nil when fault-free
+	// rxHold is the latest delivery time already promised at this node's
+	// receive window; later arrivals never overtake it (see admit).
+	rxHold sim.Time
+
+	linkRNG *rand.Rand  // CRC retry sampling for this router's links; made on first use
+	plane   *FaultPlane // per-source-node fault plane, nil when fault-free
 }
 
 // Node returns the port's node id.
@@ -222,26 +191,28 @@ func (pt *NodePort) post(dst *NodePort, at sim.Time, fn func()) {
 	pt.cl.Kern.Post(pt.lane, dst.lane, at, int32(pt.node), pt.postSeq, fn)
 }
 
-// allocID mints a node-scoped message ID. Classic fabrics number messages
-// globally; a shard-invariant scheme must not depend on cross-node
-// injection interleaving, so sharded IDs embed the source node.
+// allocID mints a node-scoped message ID: a shard-invariant scheme must not
+// depend on cross-node injection interleaving, so IDs embed the source
+// node.
 func (pt *NodePort) allocID() uint64 {
 	pt.nextID++
 	return uint64(uint32(pt.node)+1)<<32 | pt.nextID
 }
 
 // Attach registers the node's endpoint in the cluster directory.
-func (pt *NodePort) Attach(node topo.NodeID, ep Endpoint) {
-	if node != pt.node {
-		panic(fmt.Sprintf("fabric: port of node %d attached as node %d", pt.node, node))
+// Attaching twice panics: it is a machine-assembly bug.
+func (pt *NodePort) Attach(ep Endpoint) {
+	if pt.cl.eps[pt.node] != nil {
+		panic(fmt.Sprintf("fabric: node %d attached twice", pt.node))
 	}
-	if pt.cl.eps[node] != nil {
-		panic(fmt.Sprintf("fabric: node %d attached twice", node))
-	}
-	pt.cl.eps[node] = ep
+	pt.cl.eps[pt.node] = ep
 }
 
-// NewStream is Fabric.NewStream against the lane pool with node-scoped IDs.
+// NewStream allocates a message whose payload will be produced
+// incrementally by a TX DMA engine: no CRC is computed here (the sender
+// accumulates it while reading chunks and stores it with SetCRC before the
+// final chunk is injected) and inlining is the sender's explicit decision
+// via SetInline.
 func (pt *NodePort) NewStream(hdr wire.Header, src, dst topo.NodeID, payloadLen int) *Message {
 	m := pt.f.getMsg()
 	m.ID = pt.allocID()
@@ -249,6 +220,19 @@ func (pt *NodePort) NewStream(hdr wire.Header, src, dst topo.NodeID, payloadLen 
 	m.Src = src
 	m.Dst = dst
 	m.PayloadLen = payloadLen
+	return m
+}
+
+// NewMessage allocates a message with the end-to-end CRC computed over the
+// full payload, inlining payloads of at most Params.InlineDataMax bytes
+// (never for get requests or acks). The payload is only read for the CRC
+// and the inline copy; the rest travels in chunks the caller injects.
+func (pt *NodePort) NewMessage(hdr wire.Header, src, dst topo.NodeID, payload []byte) *Message {
+	m := pt.NewStream(hdr, src, dst, len(payload))
+	if len(payload) <= pt.f.P.InlineDataMax && hdr.Type != wire.TypeGet && hdr.Type != wire.TypeAck {
+		m.SetInline(payload)
+	}
+	m.CRC = wire.CRC32(&m.Hdr, payload) // InlineLen is part of the header
 	return m
 }
 
@@ -263,7 +247,8 @@ func (pt *NodePort) RecycleChunk(c *Chunk) { pt.f.RecycleChunk(c) }
 // RecycleChunk for the cross-shard rule).
 func (pt *NodePort) RecycleMsg(m *Message) { pt.f.RecycleMsg(m) }
 
-// SendHeader injects a header packet into the hopwise transport.
+// SendHeader injects a message's header packet. Its payload chunks must
+// follow in order through SendChunk; all of them take the same fixed path.
 func (pt *NodePort) SendHeader(m *Message) {
 	if pt.cl.eps[m.Dst] == nil {
 		panic(fmt.Sprintf("fabric: no endpoint at node %d", m.Dst))
@@ -275,7 +260,7 @@ func (pt *NodePort) SendHeader(m *Message) {
 	pt.launchHeader(m)
 }
 
-// SendChunk injects payload bytes into the hopwise transport.
+// SendChunk injects payload bytes.
 func (pt *NodePort) SendChunk(c *Chunk) {
 	if pt.cl.eps[c.Msg.Dst] == nil {
 		panic(fmt.Sprintf("fabric: no endpoint at node %d", c.Msg.Dst))
@@ -290,7 +275,7 @@ func (pt *NodePort) SendChunk(c *Chunk) {
 // launchHeader starts a header's hop walk from the source node. The TX
 // machine considers the packet sent at injection (stamp + OnInjected);
 // receive-window credits are charged on the destination lane at arrival,
-// so flow control is destination-side in the hopwise model.
+// so flow control is destination-side admission (see admit).
 func (pt *NodePort) launchHeader(m *Message) {
 	now := pt.f.S.Now()
 	if m.Rec != nil {
@@ -304,24 +289,7 @@ func (pt *NodePort) launchHeader(m *Message) {
 		pt.f.Trace.Instant(int(m.Src), trace.TrackWire, "net", "tx "+m.Hdr.Type.String(), now,
 			map[string]interface{}{"msg": m.ID, "dst": m.Dst, "len": m.PayloadLen + len(m.Inline)})
 	}
-	if m.Src == m.Dst {
-		// Loopback still pays NIC injection + ejection, entirely on-lane.
-		pt.f.S.At(now+2*pt.f.P.InjectLatency, func() { pt.recvHeader(m) })
-		return
-	}
-	pt.stepHeader(m, now+pt.f.P.InjectLatency)
-}
-
-// stepHeader executes the walk at the current node: reserve the outgoing
-// link, then hand the walker to the next router through the mailbox.
-func (pt *NodePort) stepHeader(m *Message, t sim.Time) {
-	next, t2 := pt.hop(m.Dst, t, int64(pt.f.P.PacketBytes), pt.f.Topo.Hops(m.Src, m.Dst))
-	np := pt.cl.ports[next]
-	if next == m.Dst {
-		pt.post(np, t2+pt.f.P.InjectLatency, func() { np.recvHeader(m) })
-		return
-	}
-	pt.post(np, t2, func() { np.stepHeader(m, t2) })
+	pt.launch(m, nil, int64(pt.f.P.PacketBytes))
 }
 
 // launchChunk starts a payload chunk's hop walk (see launchHeader).
@@ -329,22 +297,67 @@ func (pt *NodePort) launchChunk(c *Chunk) {
 	if c.OnInjected != nil {
 		c.OnInjected()
 	}
-	now := pt.f.S.Now()
-	if c.Msg.Src == c.Msg.Dst {
-		pt.f.S.At(now+2*pt.f.P.InjectLatency, func() { pt.recvChunk(c) })
-		return
-	}
-	pt.stepChunk(c, now+pt.f.P.InjectLatency)
+	pt.launch(c.Msg, c, int64(len(c.Data)))
 }
 
-func (pt *NodePort) stepChunk(c *Chunk, t sim.Time) {
-	next, t2 := pt.hop(c.Msg.Dst, t, int64(len(c.Data)), pt.f.Topo.Hops(c.Msg.Src, c.Msg.Dst))
-	np := pt.cl.ports[next]
-	if next == c.Msg.Dst {
-		pt.post(np, t2+pt.f.P.InjectLatency, func() { np.recvChunk(c) })
+// launch hands a header (c nil) or chunk to a pooled walker at the source.
+func (pt *NodePort) launch(m *Message, c *Chunk, nbytes int64) {
+	w := pt.f.getWalker()
+	w.pt, w.m, w.c, w.nbytes = pt, m, c, nbytes
+	w.hops = pt.f.Topo.Hops(m.Src, m.Dst)
+	now := pt.f.S.Now()
+	if w.hops == 0 {
+		// Loopback still pays NIC injection + ejection, entirely on-lane.
+		pt.f.S.At(now+2*pt.f.P.InjectLatency, w.arriveFn)
 		return
 	}
-	pt.post(np, t2, func() { np.stepChunk(c, t2) })
+	w.t = now + pt.f.P.InjectLatency
+	w.step()
+}
+
+// walker carries one header packet or payload chunk along its fixed path:
+// a link reservation at each router, a mailbox handoff to the next, and
+// admission into the destination's receive window. Its callbacks are bound
+// once and it is recycled into the delivering lane's pool, so a hop
+// allocates nothing.
+type walker struct {
+	pt     *NodePort // the node currently holding the walker
+	m      *Message
+	c      *Chunk   // nil for a header packet
+	t      sim.Time // arrival time at pt's router
+	nbytes int64
+	hops   int
+
+	stepFn, arriveFn, admitFn, deliverFn func()
+}
+
+func (f *Fabric) getWalker() *walker {
+	if k := len(f.walkFree); k > 0 {
+		w := f.walkFree[k-1]
+		f.walkFree = f.walkFree[:k-1]
+		return w
+	}
+	w := &walker{}
+	w.stepFn = w.step
+	w.arriveFn = w.arrive
+	w.admitFn = w.admit
+	w.deliverFn = w.deliver
+	return w
+}
+
+// step executes the walk at the current node: reserve the outgoing link,
+// then hand the walker to the next router through the mailbox.
+func (w *walker) step() {
+	pt := w.pt
+	next, t2 := pt.hop(w.m.Dst, w.t, w.nbytes, w.hops)
+	np := pt.cl.ports[next]
+	w.pt = np // the walker is untouched until the next window applies the post
+	if next == w.m.Dst {
+		pt.post(np, t2+pt.f.P.InjectLatency, w.arriveFn)
+		return
+	}
+	w.t = t2
+	pt.post(np, t2, w.stepFn)
 }
 
 // hop reserves this node's outgoing link toward dst for nbytes arriving at
@@ -358,6 +371,10 @@ func (pt *NodePort) hop(dst topo.NodeID, t sim.Time, nbytes int64, hops int) (to
 		panic("fabric: hop walk already at destination")
 	}
 	occupancy := sim.BytesAt(nbytes, f.P.LinkBps)
+	if f.P.LinkBitErrorRate > 0 {
+		k := pt.transmissions(nbytes)
+		occupancy = sim.Time(k)*occupancy + sim.Time(k-1)*f.P.LinkRetryDelay
+	}
 	t2 := f.linkReserve(pt.node, d, t, occupancy, hops) + f.P.HopLatency
 	next, ok := f.Topo.Neighbor(pt.node, d)
 	if !ok {
@@ -366,13 +383,85 @@ func (pt *NodePort) hop(dst topo.NodeID, t sim.Time, nbytes int64, hops int) (to
 	return next, t2
 }
 
-// recvHeader runs on the destination lane at arrival: charge the receive
-// window, then deliver — destination-side admission replaces the classic
-// source-side credit take.
-func (pt *NodePort) recvHeader(m *Message) {
+// transmissions samples how many times a packet group of nbytes must cross
+// one of this router's links before the 16-bit link CRC passes (paper §2).
+func (pt *NodePort) transmissions(nbytes int64) int {
+	p := pt.f.P
+	packets := (int(nbytes) + p.PacketBytes - 1) / p.PacketBytes
+	pOK := 1.0
+	for i := 0; i < packets; i++ {
+		pOK *= 1 - p.LinkBitErrorRate
+	}
+	if pt.linkRNG == nil {
+		// The node owns the links leaving its router, so it samples their
+		// CRC retries from its own stream. The seed is the fault plane's,
+		// salted so the two streams are independent.
+		pt.linkRNG = rand.New(rand.NewPCG(uint64(nodeSeed(p, pt.node)), linkSeedSalt))
+	}
+	n := 1
+	for pt.linkRNG.Float64() > pOK {
+		n++
+		pt.f.Stats.LinkRetries++
+		if n > 64 {
+			break // a link this sick would be routed around by RAS; cap it
+		}
+	}
+	return n
+}
+
+// arrive runs on the destination lane when the walker reaches the NIC:
+// charge the receive window.
+func (w *walker) arrive() {
+	pt := w.pt
+	w.t = pt.f.S.Now()
+	pt.cl.eps[pt.node].RxWindow().Take(w.nbytes, w.admitFn)
+}
+
+// admit runs once the receive window grants the walker's credits. A grant
+// at arrival delivers at once. So does a grant to a walker with more
+// traffic queued behind it: the freed space is refilled from the backlog
+// the network already holds next to the NIC. A walker that waited with no
+// backlog behind it models a stream whose link-level flow control held it
+// back until the receiver's FIFO drained: the pipeline must refill, so it
+// is delivered one unloaded path latency after the grant. A short window
+// thus throttles a lone stream, and costs nothing while credits are
+// available. Deliveries never overtake one already promised, keeping the
+// fabric's in-order guarantee.
+func (w *walker) admit() {
+	pt := w.pt
 	f := pt.f
-	ep := pt.cl.eps[m.Dst]
-	ep.RxWindow().Take(int64(f.P.PacketBytes), func() {
+	now := f.S.Now()
+	at := now
+	if now > w.t && pt.cl.eps[pt.node].RxWindow().Waiting() == 0 {
+		at = now + pt.pathLatency(w.nbytes, w.hops)
+	}
+	if at < pt.rxHold {
+		at = pt.rxHold
+	}
+	if at > now {
+		pt.rxHold = at
+		f.S.At(at, w.deliverFn)
+		return
+	}
+	w.deliver()
+}
+
+// pathLatency is the unloaded injection-to-ejection time of nbytes over
+// hops links.
+func (pt *NodePort) pathLatency(nbytes int64, hops int) sim.Time {
+	p := pt.f.P
+	return 2*p.InjectLatency + sim.Time(hops)*(sim.BytesAt(nbytes, p.LinkBps)+p.HopLatency)
+}
+
+// deliver hands the header or chunk to the endpoint. The walker returns to
+// this lane's pool first, so a reply injected by the endpoint reuses it.
+func (w *walker) deliver() {
+	pt, m, c := w.pt, w.m, w.c
+	w.pt, w.m, w.c = nil, nil, nil
+	f := pt.f
+	f.walkFree = append(f.walkFree, w)
+	ep := pt.cl.eps[pt.node]
+	if c == nil {
 		m.Rec.Stamp(telemetry.StampRxHdr, f.S.Now())
 		if pt.cl.faulty {
 			pt.noteToSource(m, (*FaultPlane).noteDelivered)
@@ -385,23 +474,16 @@ func (pt *NodePort) recvHeader(m *Message) {
 		if m.PayloadLen == 0 {
 			f.Stats.Delivered++
 		}
-	})
-}
-
-func (pt *NodePort) recvChunk(c *Chunk) {
-	f := pt.f
-	ep := pt.cl.eps[c.Msg.Dst]
-	ep.RxWindow().Take(int64(len(c.Data)), func() {
-		ep.ChunkArrived(c)
-		if c.Last {
-			f.Stats.Delivered++
-			if f.Trace.Enabled() {
-				m := c.Msg
-				f.Trace.Instant(int(m.Dst), trace.TrackWire, "net", "rx last chunk", f.S.Now(),
-					map[string]interface{}{"msg": m.ID, "src": m.Src})
-			}
+		return
+	}
+	ep.ChunkArrived(c)
+	if c.Last {
+		f.Stats.Delivered++
+		if f.Trace.Enabled() {
+			f.Trace.Instant(int(m.Dst), trace.TrackWire, "net", "rx last chunk", f.S.Now(),
+				map[string]interface{}{"msg": m.ID, "src": m.Src})
 		}
-	})
+	}
 }
 
 // FaultAccepted forwards the receiver-side commit to the source node's

@@ -82,7 +82,7 @@ func TestClusterPoolHandoff(t *testing.T) {
 	for id := 0; id < 2; id++ {
 		id := topo.NodeID(id)
 		lane := cl.Lane(id)
-		cl.Port(id).Attach(id, &handoffEP{
+		cl.Port(id).Attach(&handoffEP{
 			cl: cl, node: id, peer: 1 - id,
 			win:    sim.NewCredits(k.Lane(lane), "rxwin", 1<<20),
 			rounds: &rounds, seen: seen, seenMsg: seenMsg, deliv: &deliv,

@@ -271,7 +271,7 @@ type NIC struct {
 	S    *sim.Sim
 	P    *model.Params
 	Chip *seastar.Chip
-	Fab  fabric.Port
+	Fab  *fabric.NodePort
 	Node topo.NodeID
 
 	// Policy selects exhaustion handling.
@@ -336,7 +336,7 @@ type NIC struct {
 // New creates the firmware for one chip and charges its static structures
 // to SRAM: the global source pool and (as processes register) the pending
 // pools. The error is a configuration error — the pools must fit in 384 KB.
-func New(s *sim.Sim, p *model.Params, chip *seastar.Chip, fab fabric.Port, node topo.NodeID) (*NIC, error) {
+func New(s *sim.Sim, p *model.Params, chip *seastar.Chip, fab *fabric.NodePort, node topo.NodeID) (*NIC, error) {
 	n := &NIC{
 		S:          s,
 		P:          p,
@@ -359,7 +359,7 @@ func New(s *sim.Sim, p *model.Params, chip *seastar.Chip, fab fabric.Port, node 
 	if err := chip.SRAM.Alloc("nic-control-block", 256); err != nil {
 		return nil, err
 	}
-	fab.Attach(node, n)
+	fab.Attach(n)
 	return n, nil
 }
 
@@ -640,19 +640,3 @@ func (n *NIC) Kill() { n.killed = true }
 
 // Dead reports whether the node has failed.
 func (n *NIC) Dead() bool { return n.killed }
-
-// StartHeartbeat begins periodic RAS heartbeat ticks — the idle polling
-// loop's counter increments (§4.2). Because the ticker keeps the event heap
-// non-empty, callers drive the simulation with RunUntil; it is started by
-// machine.StartRAS, not by default.
-func (n *NIC) StartHeartbeat(period sim.Time) {
-	var tick func()
-	tick = func() {
-		if n.killed {
-			return
-		}
-		n.Heartbeat++
-		n.S.After(period, tick)
-	}
-	n.S.After(period, tick)
-}

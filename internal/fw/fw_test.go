@@ -84,9 +84,10 @@ func (h *testHost) finish(p *Pending) {
 }
 
 type fwPair struct {
-	s    *sim.Sim
+	k    *sim.Kernel
+	s    *sim.Sim // the kernel's single lane
 	p    model.Params
-	fab  *fabric.Fabric
+	fab  *fabric.Cluster
 	nics [2]*NIC
 	host [2]*testHost
 }
@@ -100,15 +101,17 @@ func newFwPair(t *testing.T, p model.Params, pendings int, policy ExhaustPolicy)
 // receiver but a roomy sender.
 func newFwPairAsym(t *testing.T, p model.Params, pendings [2]int, policy ExhaustPolicy) *fwPair {
 	t.Helper()
-	s := sim.New()
 	tp, err := topo.New(2, 1, 1, false, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := &fwPair{s: s, p: p, fab: fabric.New(s, tp, &p)}
+	k := sim.NewKernel(1, fabric.MinHandoffLatency(&p))
+	s := k.Lane(0)
+	fp := &fwPair{k: k, s: s, p: p}
+	fp.fab = fabric.NewCluster(k, tp, &fp.p, func(topo.NodeID) int { return 0 })
 	for i := 0; i < 2; i++ {
-		chip := seastar.New(s, &p, topo.NodeID(i))
-		nic, err := New(s, &p, chip, fp.fab, topo.NodeID(i))
+		chip := seastar.New(s, &fp.p, topo.NodeID(i))
+		nic, err := New(s, &fp.p, chip, fp.fab.Port(topo.NodeID(i)), topo.NodeID(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +149,7 @@ func TestInlinePutSingleEventAndData(t *testing.T) {
 	if err := fp.put(0, 1, payload, nil); err != nil {
 		t.Fatal(err)
 	}
-	fp.s.Run()
+	fp.k.Run()
 	h := fp.host[1]
 	if len(h.recv) != 1 || !bytes.Equal(h.recv[0], payload) {
 		t.Fatalf("received %q", h.recv)
@@ -176,7 +179,7 @@ func TestChunkedPutDeliversExactBytes(t *testing.T) {
 	if err := fp.put(0, 1, payload, nil); err != nil {
 		t.Fatal(err)
 	}
-	fp.s.Run()
+	fp.k.Run()
 	h := fp.host[1]
 	if len(h.recv) != 1 {
 		t.Fatalf("completions = %d", len(h.recv))
@@ -198,7 +201,7 @@ func TestTransmitsSerializeThroughSingleFIFO(t *testing.T) {
 	var order []int
 	fp.put(0, 1, make([]byte, 32<<10), func(bool) { order = append(order, 1) })
 	fp.put(0, 1, make([]byte, 100), func(bool) { order = append(order, 2) })
-	fp.s.Run()
+	fp.k.Run()
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Errorf("TX completion order %v: the short message must queue behind the long one (§4.3)", order)
 	}
@@ -207,11 +210,18 @@ func TestTransmitsSerializeThroughSingleFIFO(t *testing.T) {
 	}
 }
 
+// corruptOnce returns the defaults plus a rule corrupting the first
+// payload-bearing message past the link CRCs.
+func corruptOnce() model.Params {
+	p := model.Defaults()
+	p.Faults = []model.FaultRule{model.NewFault(model.FaultCorrupt, model.FrameData, 1).WithCount(1)}
+	return p
+}
+
 func TestEndToEndCRCFailureFlagged(t *testing.T) {
-	fp := newFwPair(t, model.Defaults(), 64, ExhaustPanic)
-	fp.fab.CorruptNext(1)
+	fp := newFwPair(t, corruptOnce(), 64, ExhaustPanic)
 	fp.put(0, 1, make([]byte, 8192), nil)
-	fp.s.Run()
+	fp.k.Run()
 	h := fp.host[1]
 	if len(h.rxOK) != 1 || h.rxOK[0] {
 		t.Errorf("rxOK = %v, want one failed delivery", h.rxOK)
@@ -231,7 +241,7 @@ func TestExhaustionPanicsUnderDefaultPolicy(t *testing.T) {
 	fp.host[1].releaseAt = sim.Second // effectively never
 	fp.put(0, 1, []byte("a"), nil)
 	fp.put(0, 1, []byte("b"), nil)
-	fp.s.RunUntil(sim.Millisecond)
+	fp.k.RunUntil(sim.Millisecond)
 	if panicked == "" {
 		t.Fatal("resource exhaustion did not panic the node (§4.3 default)")
 	}
@@ -254,7 +264,7 @@ func TestGoBackNRecoversFromExhaustion(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fp.s.RunUntil(20 * sim.Millisecond)
+	fp.k.RunUntil(20 * sim.Millisecond)
 	h := fp.host[1]
 	if len(h.recv) != sent {
 		t.Fatalf("delivered %d of %d under go-back-n", len(h.recv), sent)
@@ -282,13 +292,11 @@ func TestGoBackNCRCFailureDeliversFlaggedAndAcks(t *testing.T) {
 	// host has already matched the header — so go-back-n delivers it
 	// flagged (Portals NI_FAIL semantics) and acknowledges it so the
 	// sender completes and the flow keeps moving.
-	p := model.Defaults()
-	fp := newFwPair(t, p, 64, ExhaustGoBackN)
-	fp.fab.CorruptNext(1)
+	fp := newFwPair(t, corruptOnce(), 64, ExhaustGoBackN)
 	done := 0
 	fp.put(0, 1, make([]byte, 4096), func(ok bool) { done++ })
 	fp.put(0, 1, []byte("after"), func(ok bool) { done++ })
-	fp.s.RunUntil(5 * sim.Millisecond)
+	fp.k.RunUntil(5 * sim.Millisecond)
 	h := fp.host[1]
 	if len(h.rxOK) != 2 {
 		t.Fatalf("deliveries = %d, want 2", len(h.rxOK))
@@ -340,7 +348,7 @@ func TestDiscardConsumesStreamAndFreesPending(t *testing.T) {
 	hdr := wire.Header{Type: wire.TypePut, SrcNid: 0, DstNid: 1, Length: 4}
 	fp.nics[0].SubmitTx(&TxReq{Pid: 1, Hdr: hdr, Buf: sliceBuf("ping"), Len: 4,
 		Done: func(bool) { delivered = true }})
-	fp.s.Run()
+	fp.k.Run()
 	if fp.nics[1].Stats.Discards != 2 {
 		t.Errorf("Discards = %d", fp.nics[1].Stats.Discards)
 	}
@@ -376,7 +384,7 @@ func TestSourcePoolSharedAndReused(t *testing.T) {
 	fp := newFwPair(t, model.Defaults(), 64, ExhaustPanic)
 	fp.put(0, 1, []byte("x"), nil)
 	fp.put(0, 1, []byte("y"), nil)
-	fp.s.Run()
+	fp.k.Run()
 	if fp.nics[1].SourceCount() != 1 {
 		t.Errorf("receiver allocated %d sources for one peer", fp.nics[1].SourceCount())
 	}
@@ -404,12 +412,13 @@ func TestAccelRegistrationLimit(t *testing.T) {
 }
 
 func TestSRAMBudgetEnforcedOnRegistration(t *testing.T) {
-	s := sim.New()
 	p := model.Defaults()
 	tp, _ := topo.New(2, 1, 1, false, false, false)
-	fab := fabric.New(s, tp, &p)
+	k := sim.NewKernel(1, fabric.MinHandoffLatency(&p))
+	s := k.Lane(0)
+	fab := fabric.NewCluster(k, tp, &p, func(topo.NodeID) int { return 0 })
 	chip := seastar.New(s, &p, 0)
-	nic, err := New(s, &p, chip, fab, 0)
+	nic, err := New(s, &p, chip, fab.Port(0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +435,7 @@ func TestSRAMBudgetEnforcedOnRegistration(t *testing.T) {
 func TestHeartbeatAdvances(t *testing.T) {
 	fp := newFwPair(t, model.Defaults(), 16, ExhaustPanic)
 	fp.put(0, 1, []byte("x"), nil)
-	fp.s.Run()
+	fp.k.Run()
 	if fp.nics[0].Heartbeat == 0 || fp.nics[1].Heartbeat == 0 {
 		t.Error("RAS heartbeat counters never ticked")
 	}
@@ -443,7 +452,7 @@ func TestQueryStatsSyncCommand(t *testing.T) {
 		snap = fp.nics[1].Generic().QueryStats(proc)
 		took = proc.Now() - t0
 	})
-	fp.s.Run()
+	fp.k.Run()
 	if snap.HeadersRx != 1 {
 		t.Errorf("snapshot headers = %d, want 1", snap.HeadersRx)
 	}
@@ -471,7 +480,7 @@ func TestAccelRejectsNonContiguousBuffers(t *testing.T) {
 	if err := nic.SubmitTx(&TxReq{Pid: 1, Hdr: hdr, Buf: make(pagedBuf, 8192), Len: 8192}); err != nil {
 		t.Errorf("generic non-contiguous send: %v", err)
 	}
-	fp.s.Run()
+	fp.k.Run()
 }
 
 func TestTinyTxFIFOYieldsButDelivers(t *testing.T) {
@@ -493,7 +502,7 @@ func TestTinyTxFIFOYieldsButDelivers(t *testing.T) {
 		}
 		var done sim.Time
 		fp.put(0, 1, payload, func(bool) { done = fp.s.Now() })
-		fp.s.Run()
+		fp.k.Run()
 		if len(fp.host[1].recv) != 1 {
 			t.Fatal("message lost")
 		}

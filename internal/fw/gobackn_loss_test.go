@@ -12,8 +12,8 @@ import (
 // These tests drive the go-back-n paths that only real frame loss reaches:
 // the retransmission timeout (control frame lost), the sender-side timer
 // recovery when the NACK itself is lost, and duplicate suppression. Loss is
-// injected through the fabric's fault plane, so every run is seeded and
-// replayable.
+// declared in Params.Faults and injected by the fabric's per-node fault
+// planes, so every run is seeded and replayable.
 
 // TestFlowControlFromUnknownPeerAllocatesNoSource is the regression test
 // for the handleFlowControl allocation bug: an inbound FC frame from a peer
@@ -28,7 +28,7 @@ func TestFlowControlFromUnknownPeerAllocatesNoSource(t *testing.T) {
 	// must be ignored without touching the pool.
 	fp.nics[0].sendControl(1, wire.TypeFcAck, 3)
 	fp.nics[0].sendControl(1, wire.TypeFcNack, 1)
-	fp.s.Run()
+	fp.k.Run()
 	if got := fp.nics[1].SourceCount(); got != 0 {
 		t.Errorf("inbound FC frames allocated %d source structures", got)
 	}
@@ -40,7 +40,7 @@ func TestFlowControlFromUnknownPeerAllocatesNoSource(t *testing.T) {
 	if err := fp.put(0, 1, payload, nil); err != nil {
 		t.Fatal(err)
 	}
-	fp.s.Run()
+	fp.k.Run()
 	if h := fp.host[1]; len(h.recv) != 1 || !bytes.Equal(h.recv[0], payload) {
 		t.Fatalf("put after stray control frames: received %d messages", len(fp.host[1].recv))
 	}
@@ -50,9 +50,11 @@ func TestFlowControlFromUnknownPeerAllocatesNoSource(t *testing.T) {
 // sender's GbnTimeout fires and retransmits, and the receiver accepts the
 // retransmission exactly once (the duplicate is re-acked and condemned).
 func TestGbnAckLostTimeoutRetransmits(t *testing.T) {
-	fp := newFwPair(t, model.Defaults(), 64, ExhaustGoBackN)
-	plane := fp.fab.Faults()
-	plane.AddRule(model.NewFault(model.FaultDrop, model.FrameFcAck, 1).WithCount(1))
+	p := model.Defaults()
+	p.Faults = []model.FaultRule{
+		model.NewFault(model.FaultDrop, model.FrameFcAck, 1).WithCount(1),
+	}
+	fp := newFwPair(t, p, 64, ExhaustGoBackN)
 
 	payload := make([]byte, 8192)
 	for i := range payload {
@@ -61,7 +63,7 @@ func TestGbnAckLostTimeoutRetransmits(t *testing.T) {
 	if err := fp.put(0, 1, payload, nil); err != nil {
 		t.Fatal(err)
 	}
-	fp.s.Run()
+	fp.k.Run()
 
 	h := fp.host[1]
 	if len(h.recv) != 1 {
@@ -82,7 +84,7 @@ func TestGbnAckLostTimeoutRetransmits(t *testing.T) {
 	if fp.nics[1].Stats.DupAcks != 1 {
 		t.Errorf("DupAcks = %d: the retransmission must be re-acked as a duplicate", fp.nics[1].Stats.DupAcks)
 	}
-	fs := plane.Snapshot()
+	fs, _ := fp.fab.FaultSnapshot()
 	if fs.DropsFcAck != 1 || fs.Open() != 0 {
 		t.Errorf("ledger: %v", fs)
 	}
@@ -92,10 +94,12 @@ func TestGbnAckLostTimeoutRetransmits(t *testing.T) {
 // demanding its rewind is dropped too. The sender's timer alone must
 // recover the flow, in order.
 func TestGbnNackLostTimerRecovers(t *testing.T) {
-	fp := newFwPair(t, model.Defaults(), 64, ExhaustGoBackN)
-	plane := fp.fab.Faults()
-	plane.AddRule(model.NewFault(model.FaultDrop, model.FrameData, 1).WithCount(1))
-	plane.AddRule(model.NewFault(model.FaultDrop, model.FrameFcNack, 1).WithCount(1))
+	p := model.Defaults()
+	p.Faults = []model.FaultRule{
+		model.NewFault(model.FaultDrop, model.FrameData, 1).WithCount(1),
+		model.NewFault(model.FaultDrop, model.FrameFcNack, 1).WithCount(1),
+	}
+	fp := newFwPair(t, p, 64, ExhaustGoBackN)
 
 	first := bytes.Repeat([]byte{0xa1}, 2048)
 	second := bytes.Repeat([]byte{0xb2}, 2048)
@@ -105,7 +109,7 @@ func TestGbnNackLostTimerRecovers(t *testing.T) {
 	if err := fp.put(0, 1, second, nil); err != nil {
 		t.Fatal(err)
 	}
-	fp.s.Run()
+	fp.k.Run()
 
 	h := fp.host[1]
 	if len(h.recv) != 2 {
@@ -129,7 +133,7 @@ func TestGbnNackLostTimerRecovers(t *testing.T) {
 	if fp.nics[0].Stats.Retransmits < 2 {
 		t.Errorf("Retransmits = %d, want both unacked messages resent", fp.nics[0].Stats.Retransmits)
 	}
-	fs := plane.Snapshot()
+	fs, _ := fp.fab.FaultSnapshot()
 	if fs.DropsData != 1 || fs.DropsFcNack != 1 || fs.Open() != 0 {
 		t.Errorf("ledger: %v", fs)
 	}
@@ -139,9 +143,11 @@ func TestGbnNackLostTimerRecovers(t *testing.T) {
 // condemned without a second deposit — the receiver's payload bytes and
 // completion count are those of a single delivery.
 func TestGbnDuplicateDataCondemned(t *testing.T) {
-	fp := newFwPair(t, model.Defaults(), 64, ExhaustGoBackN)
-	plane := fp.fab.Faults()
-	plane.AddRule(model.NewFault(model.FaultDup, model.FrameData, 1).WithCount(1))
+	p := model.Defaults()
+	p.Faults = []model.FaultRule{
+		model.NewFault(model.FaultDup, model.FrameData, 1).WithCount(1),
+	}
+	fp := newFwPair(t, p, 64, ExhaustGoBackN)
 
 	payload := make([]byte, 8192)
 	for i := range payload {
@@ -150,7 +156,7 @@ func TestGbnDuplicateDataCondemned(t *testing.T) {
 	if err := fp.put(0, 1, payload, nil); err != nil {
 		t.Fatal(err)
 	}
-	fp.s.Run()
+	fp.k.Run()
 
 	h := fp.host[1]
 	if len(h.recv) != 1 {
@@ -165,7 +171,7 @@ func TestGbnDuplicateDataCondemned(t *testing.T) {
 	if fp.nics[1].Stats.DupAcks != 1 {
 		t.Errorf("DupAcks = %d, want the copy re-acked", fp.nics[1].Stats.DupAcks)
 	}
-	fs := plane.Snapshot()
+	fs, _ := fp.fab.FaultSnapshot()
 	if fs.Dups != 1 || fs.Condemned != 1 || fs.Open() != 0 {
 		t.Errorf("ledger: %v", fs)
 	}
@@ -174,21 +180,23 @@ func TestGbnDuplicateDataCondemned(t *testing.T) {
 // TestGbnDelayedMessageRecovered: a delayed message reorders across flows
 // but stays in order within its flow; the ledger closes at delivery.
 func TestGbnDelayedMessageRecovered(t *testing.T) {
-	fp := newFwPair(t, model.Defaults(), 64, ExhaustGoBackN)
-	plane := fp.fab.Faults()
-	plane.AddRule(model.NewFault(model.FaultDelay, model.FrameData, 1).
-		WithCount(1).WithDelay(20 * sim.Microsecond))
+	p := model.Defaults()
+	p.Faults = []model.FaultRule{
+		model.NewFault(model.FaultDelay, model.FrameData, 1).
+			WithCount(1).WithDelay(20 * sim.Microsecond),
+	}
+	fp := newFwPair(t, p, 64, ExhaustGoBackN)
 
 	payload := bytes.Repeat([]byte{0xc3}, 4096)
 	if err := fp.put(0, 1, payload, nil); err != nil {
 		t.Fatal(err)
 	}
-	fp.s.Run()
+	fp.k.Run()
 	h := fp.host[1]
 	if len(h.recv) != 1 || !bytes.Equal(h.recv[0], payload) {
 		t.Fatalf("delayed message: delivered %d times", len(h.recv))
 	}
-	fs := plane.Snapshot()
+	fs, _ := fp.fab.FaultSnapshot()
 	if fs.Delays != 1 || fs.Recovered != 1 || fs.Open() != 0 {
 		t.Errorf("ledger: %v", fs)
 	}

@@ -333,10 +333,12 @@ func (t *txChunk) read() {
 	c.Off = t.off
 	c.Last = t.last
 	c.OnInjected = t.injFn
-	n.Fab.SendChunk(c)
+	// Request the next chunk's FIFO space before this chunk drains onto the
+	// wire: a FIFO too small to hold both makes the state machine yield.
 	if !t.last {
 		n.txNextChunk(req, t.off+t.sz)
 	}
+	n.Fab.SendChunk(c)
 }
 
 // injected fires when the chunk's bytes have entered the wire: TX FIFO

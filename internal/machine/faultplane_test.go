@@ -92,7 +92,8 @@ func runFaultSoak(t *testing.T, seed int64, msgs int) ([][]byte, sim.Time, fabri
 			t.Fatalf("seed %#x: node %d panicked under go-back-n", seed, i)
 		}
 	}
-	return got, done, m.Faults().Snapshot()
+	fs, _ := m.FaultSnapshot()
+	return got, done, fs
 }
 
 // TestFaultSoakSeeded hammers the go-back-n pair with the full fault mix
@@ -159,10 +160,10 @@ func TestFaultSoakDeterminism(t *testing.T) {
 // in order and releases them at resume — a hung NIC that recovers.
 func TestStallNodeForHoldsThenDelivers(t *testing.T) {
 	p := model.Defaults()
+	// Stall the receiver before the put's frames arrive, resume at 300µs.
+	p.Schedule = model.FaultSchedule{{Kind: model.SchedStall, Node: 1, Dur: 300 * sim.Microsecond}}
 	m := NewPair(p)
 	m.EnableGoBackN()
-	// Stall the receiver before the put's frames arrive, resume at 300µs.
-	m.StallNodeFor(1, 300*sim.Microsecond)
 	payload := bytes.Repeat([]byte{0x77}, 4096)
 	_, got, at := onePut(t, m, payload)
 	if !bytes.Equal(got, payload) {
@@ -171,7 +172,7 @@ func TestStallNodeForHoldsThenDelivers(t *testing.T) {
 	if at < 300*sim.Microsecond {
 		t.Errorf("delivery at %v inside the stall window", at)
 	}
-	fs := m.Faults().Snapshot()
+	fs, _ := m.FaultSnapshot()
 	if fs.Stalls == 0 {
 		t.Error("no frames were held by the stall")
 	}
@@ -184,9 +185,10 @@ func TestStallNodeForHoldsThenDelivers(t *testing.T) {
 // dropped for the window's duration; go-back-n redelivers once it is back.
 func TestLinkDownWindowRecoveredByGoBackN(t *testing.T) {
 	p := model.Defaults()
+	p.Schedule = model.FaultSchedule{{Kind: model.SchedLinkDown, Node: 0,
+		Dir: topo.Dir{Axis: topo.X, Sign: 1}, Dur: 200 * sim.Microsecond}}
 	m := NewPair(p)
 	m.EnableGoBackN()
-	m.LinkDownFor(0, topo.Dir{Axis: topo.X, Sign: 1}, 200*sim.Microsecond)
 	payload := bytes.Repeat([]byte{0x3c}, 4096)
 	_, got, at := onePut(t, m, payload)
 	if !bytes.Equal(got, payload) {
@@ -195,7 +197,7 @@ func TestLinkDownWindowRecoveredByGoBackN(t *testing.T) {
 	if at < 200*sim.Microsecond {
 		t.Errorf("delivery at %v inside the down window", at)
 	}
-	fs := m.Faults().Snapshot()
+	fs, _ := m.FaultSnapshot()
 	if fs.DropsLink == 0 {
 		t.Error("no frames dropped by the downed link")
 	}

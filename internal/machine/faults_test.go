@@ -2,7 +2,9 @@ package machine
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -60,19 +62,31 @@ func TestLinkCRCRetriesAreTransparent(t *testing.T) {
 	if !bytes.Equal(gotC, payload) || !bytes.Equal(gotD, payload) {
 		t.Fatal("payload corrupted despite link CRC")
 	}
-	if md.Fab.Stats.LinkRetries == 0 {
+	if md.Stats().Fabric.LinkRetries == 0 {
 		t.Error("lossy link produced no retries")
 	}
-	if atD <= atC {
-		t.Errorf("retries should cost time: %v <= %v", atD, atC)
+	// Every retry re-occupies the link, so the lossy link is busy longer.
+	// Completion moves only when a retry lands on the tail of the transfer
+	// (link slack absorbs earlier ones), so it is checked not to move
+	// earlier.
+	busy := func(m *Machine) float64 {
+		d, _ := m.Topo.NextHop(0, 1)
+		return m.LinkUtilization(0, d) * float64(m.S.Now())
+	}
+	if bD, bC := busy(md), busy(mc); bD <= bC {
+		t.Errorf("retries should cost link time: busy %v <= %v ps", bD, bC)
+	}
+	if atD < atC {
+		t.Errorf("retries cannot make delivery earlier: %v < %v", atD, atC)
 	}
 }
 
 func TestEndToEndCorruptionSurfacesAtAPI(t *testing.T) {
 	// Corruption that evades the link CRC is caught by the end-to-end
 	// CRC-32 (§2) and surfaces on the application's PUT_END as NIFail.
-	m := NewPair(model.Defaults())
-	m.Fab.CorruptNext(1)
+	p := model.Defaults()
+	p.Faults = []model.FaultRule{model.NewFault(model.FaultCorrupt, model.FrameData, 1).WithCount(1)}
+	m := NewPair(p)
 	payload := make([]byte, 8192)
 	ev, got, _ := onePut(t, m, payload)
 	if !ev.NIFail {
@@ -86,6 +100,10 @@ func TestEndToEndCorruptionSurfacesAtAPI(t *testing.T) {
 	if lib.Status(core.SRCrcErrors) != 1 {
 		t.Errorf("SRCrcErrors = %d", lib.Status(core.SRCrcErrors))
 	}
+	// The ledger shows the injected corruption without opening an entry.
+	if fs, _ := m.FaultSnapshot(); fs.Corrupts != 1 || fs.Open() != 0 {
+		t.Errorf("fault ledger %v: want corrupts=1 open=0", fs)
+	}
 }
 
 func TestGoBackNMachineUnderLossyLinks(t *testing.T) {
@@ -96,7 +114,7 @@ func TestGoBackNMachineUnderLossyLinks(t *testing.T) {
 	p.LinkBitErrorRate = 0.005
 	p.NumGenericPendings = 32
 	tp, _ := topo.New(2, 1, 1, false, false, false)
-	m := New(p, tp)
+	m := NewSharded(p, tp, 1)
 	m.EnableGoBackN()
 
 	const msgs = 30
@@ -143,7 +161,7 @@ func TestGoBackNMachineUnderLossyLinks(t *testing.T) {
 			}
 		}
 	}
-	if m.Fab.Stats.LinkRetries == 0 {
+	if m.Stats().Fabric.LinkRetries == 0 {
 		t.Error("no link retries on a lossy run")
 	}
 }
@@ -318,7 +336,7 @@ func TestRASDetectsPanickedNode(t *testing.T) {
 	p := model.Defaults()
 	p.NumGenericPendings = 2 // one RX pending: trivially exhaustible
 	tp, _ := topo.New(3, 1, 1, false, false, false)
-	m := New(p, tp)
+	m := NewSharded(p, tp, 1)
 	// Instantiate all three nodes before starting RAS.
 	for i := topo.NodeID(0); i < 3; i++ {
 		m.Node(i)
@@ -376,5 +394,72 @@ func TestRASDetectsPanickedNode(t *testing.T) {
 	}
 	if !m.Node(1).NIC.Dead() {
 		t.Error("panicked NIC not marked dead")
+	}
+}
+
+// runLossyExchange has every node of a 2x2x4 torus put 16 KiB to the node
+// two hops away in Z and one in X, over links with the given bit-error
+// rate, and renders the machine stats plus each receiver's completion time
+// and payload checksum.
+func runLossyExchange(t *testing.T, shards int, ber float64) string {
+	t.Helper()
+	p := model.Defaults()
+	p.LinkBitErrorRate = ber
+	tp, err := topo.New(2, 2, 4, true, true, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewSharded(p, tp, shards)
+	n := tp.Nodes()
+	const size = 16 << 10
+	done := make([]sim.Time, n)
+	sums := make([]byte, n)
+	apps := make([]*App, n)
+	for id := 0; id < n; id++ {
+		id := id
+		apps[id], _ = m.Spawn(topo.NodeID(id), "rx", Generic, func(app *App) {
+			buf, eq := recvSetup(t, app, size, core.MDOpPut)
+			ev := waitFor(t, app, eq, core.EventPutEnd)
+			if ev.NIFail {
+				t.Error("link retries surfaced as NIFail")
+			}
+			data := make([]byte, ev.MLength)
+			buf.ReadAt(0, data)
+			for _, v := range data {
+				sums[id] ^= v
+			}
+			done[id] = app.Proc.Now()
+		})
+	}
+	for id := 0; id < n; id++ {
+		id := id
+		c := tp.Coord(topo.NodeID(id))
+		dst := tp.ID(topo.Coord{X: (c.X + 1) % 2, Y: c.Y, Z: (c.Z + 2) % 4})
+		m.Spawn(topo.NodeID(id), "tx", Generic, func(app *App) {
+			app.Proc.Sleep(50 * sim.Microsecond)
+			src := app.Alloc(size)
+			src.WriteAt(0, bytes.Repeat([]byte{byte(id + 1)}, size))
+			md, _ := app.API.MDBind(core.MDesc{Region: src, Threshold: core.ThresholdInfinite})
+			app.API.Put(md, core.NoAck, apps[dst].ID(), testPtl, 7, 0, 0)
+		})
+	}
+	m.Run()
+	var sb bytes.Buffer
+	sb.WriteString(m.Stats().String())
+	for id := range done {
+		fmt.Fprintf(&sb, "node %d: done %v sum %#x\n", id, done[id], sums[id])
+	}
+	return sb.String()
+}
+
+// TestLinkRetriesReshardBitIdentical: link-level CRC retries draw from
+// per-node streams, so a lossy run is byte-identical at any shard count.
+func TestLinkRetriesReshardBitIdentical(t *testing.T) {
+	ref := runLossyExchange(t, 1, 0.02)
+	if !strings.Contains(ref, "link retries") || strings.Contains(ref, " 0 link retries") {
+		t.Fatalf("lossy reference drew no link retries:\n%s", ref)
+	}
+	if got := runLossyExchange(t, 2, 0.02); got != ref {
+		t.Errorf("shards=2 diverges from shards=1:\n%s\nvs\n%s", got, ref)
 	}
 }

@@ -69,32 +69,37 @@ func (m *Machine) Reports() []FailureReport {
 	return append([]FailureReport(nil), m.reports...)
 }
 
-// reportFailure funnels a detection that may originate on a lane worker
-// mid-window (a node panic): timestamped from the failing node's lane, no
-// detection-time dump on a sharded machine — snapshotting other lanes
-// mid-window would race. Detectors that run at safe points (barrier ticks,
-// post-Run audits) call fileReport directly and do take dumps.
+// reportFailure funnels a detection that originates on a lane worker
+// mid-window (a node panic), timestamped from the failing node's lane.
+// Snapshotting other lanes mid-window would race, so the dump is taken at
+// the window's closing barrier (sim.Kernel.AtBarrier), stamped at the
+// detection time: the barrier state is shard-invariant, so the dump is
+// too. Detectors that run at safe points (barrier ticks, post-Run audits)
+// call fileReport directly and dump at once.
 func (m *Machine) reportFailure(kind FailureKind, node topo.NodeID, reason string) {
-	at := m.S.Now()
-	if m.kern != nil && node >= 0 {
-		at = m.laneSim(node).Now()
+	at := m.laneSim(node).Now()
+	i := m.fileReport(kind, node, reason, at, false)
+	if m.rec != nil {
+		m.kern.AtBarrier(func() {
+			m.reports[i].Dump = m.takeDumpAt(reason, kind.String(), int(node), at)
+		})
 	}
-	m.fileReport(kind, node, reason, at, m.kern == nil)
 }
 
 // fileReport is the single failure funnel: record the report and, when the
 // flight recorder is running and the caller vouches for dump safety (dump
-// is true only on the classic machine, at kernel barrier ticks, or after
-// Run — anywhere every lane's state is quiescent and readable), attach a
-// full machine dump stamped at the detection time.
-func (m *Machine) fileReport(kind FailureKind, node topo.NodeID, reason string, at sim.Time, dump bool) {
+// is true only at kernel barriers or after Run — anywhere every lane's
+// state is quiescent and readable), attach a full machine dump stamped at
+// the detection time. It returns the report's index.
+func (m *Machine) fileReport(kind FailureKind, node topo.NodeID, reason string, at sim.Time, dump bool) int {
 	r := FailureReport{Kind: kind, Node: node, Reason: reason, At: at}
 	if m.rec != nil && dump {
 		r.Dump = m.takeDumpAt(reason, kind.String(), int(node), at)
 	}
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.reports = append(m.reports, r)
-	m.mu.Unlock()
+	return len(m.reports) - 1
 }
 
 // EnableFlightRecorder starts per-node flight recording, with ringEvents
@@ -105,11 +110,9 @@ func (m *Machine) fileReport(kind FailureKind, node topo.NodeID, reason string, 
 func (m *Machine) EnableFlightRecorder(ringEvents int) *flightrec.Recorder {
 	if m.rec == nil {
 		m.rec = flightrec.NewRecorder(ringEvents)
-		if m.kern != nil {
-			// Node-scoped spans at every shard count, so shards=1 and
-			// shards=N dumps are byte-comparable (DESIGN.md §11).
-			m.rec.UseNodeSpans()
-		}
+		// Node-scoped spans at every shard count, so shards=1 and shards=N
+		// dumps are byte-comparable (DESIGN.md §11).
+		m.rec.UseNodeSpans()
 		for _, n := range m.nodes {
 			m.wireFlightRec(n)
 		}
@@ -181,7 +184,7 @@ func (m *Machine) checkLedger() {
 		return
 	}
 	m.ledgerReported = true
-	// Post-Run, so even a sharded machine is quiescent: dump safely.
+	// Post-Run, every lane is quiescent: dump safely.
 	m.fileReport(FailureLedger, -1,
 		fmt.Sprintf("fault ledger imbalance at quiescence: %d open (%s)", st.Open(), st),
 		m.S.Now(), true)
@@ -214,8 +217,8 @@ func (sd *StallDetector) Stop() { sd.halted = true }
 // go-back-n sends, undrained driver events) whose progress counter does not
 // advance for a full window is reported as stalled, with a dump. Ticks run
 // every window/4 and self-terminate with the event heap, like the sampler,
-// so Machine.Run still returns. On a sharded machine ticks fire at kernel
-// barriers (sim.Kernel.Every) — the lane workers have joined there, so the
+// so Machine.Run still returns. Ticks fire at kernel barriers
+// (sim.Kernel.Every) — the lane workers have joined there, so the
 // cross-node progress reads and the attached dump are race-free, and the
 // canonical tick times make detections land at identical virtual times at
 // every shard count.
@@ -235,25 +238,11 @@ func (m *Machine) StartStallDetector(window sim.Time) *StallDetector {
 	if period <= 0 {
 		period = 1
 	}
-	if m.kern != nil {
-		m.kern.Every(period, func(now sim.Time) {
-			if !sd.halted {
-				sd.checkAt(now)
-			}
-		})
-		return sd
-	}
-	var tick func()
-	tick = func() {
-		if sd.halted {
-			return
+	m.kern.Every(period, func(now sim.Time) {
+		if !sd.halted {
+			sd.checkAt(now)
 		}
-		sd.checkAt(m.S.Now())
-		if m.S.Pending() > 0 {
-			m.S.After(period, tick)
-		}
-	}
-	m.S.After(period, tick)
+	})
 	return sd
 }
 
@@ -284,8 +273,7 @@ func (sd *StallDetector) checkAt(now sim.Time) {
 		if m.rec != nil {
 			m.rec.Ring(int(id)).Record(flightrec.KStall, now, 0, uint32(open), 0)
 		}
-		// Stall checks run at safe points on every machine kind (classic
-		// event, sharded barrier tick), so dumps are always allowed.
+		// Stall checks run at barrier ticks, so dumps are always allowed.
 		m.fileReport(FailureStall, id, fmt.Sprintf(
 			"no forward progress for %v with %d open work items", now-sd.lastMove[id], open),
 			now, true)

@@ -21,11 +21,12 @@ import (
 func runStallScenario(t *testing.T) (*Machine, []byte, []byte, *flightrec.Dump) {
 	t.Helper()
 	p := model.Defaults()
+	p.Schedule = model.FaultSchedule{{Kind: model.SchedLinkDown, Node: 0,
+		Dir: topo.Dir{Axis: topo.X, Sign: 1}, Dur: 2 * sim.Millisecond}}
 	m := NewPair(p)
 	m.EnableGoBackN()
 	m.EnableFlightRecorder(0)
 	m.StartStallDetector(400 * sim.Microsecond) // > GbnTimeout (150us)
-	m.LinkDownFor(0, topo.Dir{Axis: topo.X, Sign: 1}, 2*sim.Millisecond)
 	payload := bytes.Repeat([]byte{0x5a}, 4096)
 	_, got, at := onePut(t, m, payload)
 	if at < 2*sim.Millisecond {
@@ -169,7 +170,7 @@ func TestPanicReportCarriesExhaustDump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(p, tp)
+	m := NewSharded(p, tp, 1)
 	m.EnableFlightRecorder(0)
 
 	recv, err := m.Spawn(0, "incast-recv", Generic, func(app *App) {

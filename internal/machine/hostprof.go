@@ -61,13 +61,9 @@ type HostProfile struct {
 	Lanes []HostLane `json:"lanes"`
 }
 
-// EnableHostProfile arms the host-execution profiler on a sharded
-// machine's kernel. Classic machines have no lanes to account; profiling
-// them is a pprof job, not a lane-skew one.
+// EnableHostProfile arms the host-execution profiler on the machine's
+// kernel.
 func (m *Machine) EnableHostProfile() {
-	if m.kern == nil {
-		panic("machine: host-execution profiling needs a sharded machine (NewSharded)")
-	}
 	m.kern.EnableHostProfile()
 	m.hostprofOn = true
 }
@@ -76,9 +72,6 @@ func (m *Machine) EnableHostProfile() {
 // `every` of wall-clock (see sim.Kernel.SetProgress for the delivery
 // contract). Implies EnableHostProfile.
 func (m *Machine) SetProgress(every time.Duration, fn func(sim.HostProgress)) {
-	if m.kern == nil {
-		panic("machine: host-execution profiling needs a sharded machine (NewSharded)")
-	}
 	m.kern.SetProgress(every, fn)
 	m.hostprofOn = true
 }

@@ -52,10 +52,10 @@ func TestLatencyGrowsWithDistanceOnRedStorm(t *testing.T) {
 	// 1-hop pair against the diameter pair on the full Red Storm topology
 	// (lazy node construction keeps this cheap).
 	rs := topo.RedStorm()
-	near := New(model.Defaults(), rs)
+	near := NewSharded(model.Defaults(), rs, 1)
 	lNear := pingLatency(t, near, rs.ID(topo.Coord{X: 0, Y: 0, Z: 0}), rs.ID(topo.Coord{X: 1, Y: 0, Z: 0}), 8)
 
-	far := New(model.Defaults(), rs)
+	far := NewSharded(model.Defaults(), rs, 1)
 	src := rs.ID(topo.Coord{X: 0, Y: 0, Z: 0})
 	dst := rs.ID(topo.Coord{X: 26, Y: 15, Z: 12}) // diameter: 26+15+12 = 53 hops
 	if got := rs.Hops(src, dst); got != rs.Diameter() {
@@ -82,7 +82,7 @@ func TestIncastSaturatesSharedResources(t *testing.T) {
 	// receiver-side bottleneck, not the offered load.
 	p := model.Defaults()
 	tp, _ := topo.New(4, 1, 1, false, false, false)
-	m := New(p, tp)
+	m := NewSharded(p, tp, 1)
 	const per = 4 << 20
 	var doneAt sim.Time
 	var first sim.Time
@@ -131,7 +131,7 @@ func TestParallelDisjointFlowsDoNotInterfere(t *testing.T) {
 	// simultaneously (the machine has no hidden global bottleneck).
 	p := model.Defaults()
 	tp, _ := topo.New(4, 1, 1, false, false, false)
-	m := New(p, tp)
+	m := NewSharded(p, tp, 1)
 	const per = 2 << 20
 	var done [2]sim.Time
 	for f := 0; f < 2; f++ {

@@ -5,6 +5,11 @@
 //
 // Nodes are built lazily, so a Red Storm-sized topology (10,368 nodes) can
 // be declared while only the nodes a test touches are instantiated.
+//
+// Every machine runs on the parallel event kernel (sim.Kernel) over the
+// hop-by-hop fabric: NewSharded partitions the nodes into event lanes, and
+// the simulated results are bit-identical at every lane count (DESIGN.md
+// §11).
 package machine
 
 import (
@@ -51,10 +56,11 @@ func (m Mode) String() string {
 
 // Machine is one simulated system.
 type Machine struct {
+	// S is lane 0's simulator; every lane's clock reads the same window
+	// horizon between kernel runs, so S.Now() is the machine's time.
 	S    *sim.Sim
 	P    model.Params
 	Topo *topo.Topology
-	Fab  *fabric.Fabric
 
 	// OSKind selects each node's operating system; the default is
 	// Catamount everywhere (a compute partition).
@@ -62,16 +68,13 @@ type Machine struct {
 
 	nodes    map[topo.NodeID]*Node
 	gbn      bool
-	tracer   *trace.Tracer
-	tel      *telemetry.Telemetry
 	sampler  *Sampler
 	ras      *RAS
 	failures []NodeFailure
 
-	// Sharded-machine state (NewSharded; nil on a classic machine): the
-	// parallel kernel, the per-lane fabric cluster, per-lane telemetry and
-	// trace instances, and the mutex serializing the failure funnel across
-	// lanes.
+	// The parallel kernel, the per-lane fabric cluster, per-lane telemetry
+	// and trace instances (nil until enabled), and the mutex serializing the
+	// failure funnel across lanes.
 	kern *sim.Kernel
 	cl   *fabric.Cluster
 	tels []*telemetry.Telemetry
@@ -99,29 +102,14 @@ type Node struct {
 	Generic *nal.GenericDriver
 }
 
-// New builds a machine over the given topology.
-func New(p model.Params, tp *topo.Topology) *Machine {
-	s := sim.New()
-	m := &Machine{
-		S:      s,
-		P:      p,
-		Topo:   tp,
-		OSKind: func(topo.NodeID) oskernel.Kind { return oskernel.Catamount },
-		nodes:  make(map[topo.NodeID]*Node),
-	}
-	m.Fab = fabric.New(s, tp, &m.P)
-	m.applySchedule()
-	return m
-}
-
 // NewPair is the two-node micro-benchmark machine (the NetPIPE setup):
-// two adjacent Catamount nodes.
+// two adjacent Catamount nodes on one event lane.
 func NewPair(p model.Params) *Machine {
 	tp, err := topo.New(2, 1, 1, false, false, false)
 	if err != nil {
 		panic(err)
 	}
-	return New(p, tp)
+	return NewSharded(p, tp, 1)
 }
 
 // Node returns (building on first use) the node with the given id.
@@ -135,7 +123,7 @@ func (m *Machine) Node(id topo.NodeID) *Node {
 	ls := m.laneSim(id)
 	kern := oskernel.New(ls, &m.P, m.OSKind(id), id)
 	chip := seastar.New(ls, &m.P, id)
-	nic, err := fw.New(ls, &m.P, chip, m.nodePort(id), id)
+	nic, err := fw.New(ls, &m.P, chip, m.cl.Port(id), id)
 	if err != nil {
 		panic(err)
 	}
@@ -149,7 +137,7 @@ func (m *Machine) Node(id topo.NodeID) *Node {
 		panic(err)
 	}
 	n := &Node{ID: id, Kernel: kern, Chip: chip, NIC: nic, Generic: drv}
-	if m.tel != nil || m.tels != nil {
+	if m.tels != nil {
 		m.wireTelemetry(n)
 	}
 	if m.rec != nil {
@@ -161,93 +149,67 @@ func (m *Machine) Node(id topo.NodeID) *Node {
 }
 
 // EnableTracing starts recording a machine-wide timeline (wire, firmware,
-// interrupt and Portals-event activity) and returns the tracer. Call it
-// before spawning processes; write the result with Tracer.WriteChrome.
+// interrupt and Portals-event activity). Call it before spawning
+// processes.
 //
-// On a sharded machine each lane records into its own tracer (every node
-// lives on exactly one lane, so a node's records stay in one instance and
-// in lane-local time order); read the merged timeline through
-// Machine.Trace after the run. The merge sorts by (timestamp, node), which
-// preserves each lane's relative order, so the written trace is
-// byte-identical at every shard count.
+// Each lane records into its own tracer (every node lives on exactly one
+// lane, so a node's records stay in one instance and in lane-local time
+// order); it returns lane 0's. Read the merged timeline through
+// Machine.Trace after the run and write it with Tracer.WriteChrome. The
+// merge sorts by (timestamp, node), which preserves each lane's relative
+// order, so the written trace is byte-identical at every shard count.
 func (m *Machine) EnableTracing() *trace.Tracer {
-	if m.kern != nil {
-		if m.trs == nil {
-			m.trs = make([]*trace.Tracer, m.kern.Shards())
-			for i := range m.trs {
-				m.trs[i] = trace.New()
-				m.cl.SetTrace(i, m.trs[i])
-			}
-			for _, n := range m.nodes {
-				n.NIC.Trace = m.nodeTrace(n.ID)
-				n.Kernel.Trace = n.NIC.Trace
-			}
+	if m.trs == nil {
+		m.trs = make([]*trace.Tracer, m.kern.Shards())
+		for i := range m.trs {
+			m.trs[i] = trace.New()
+			m.cl.SetTrace(i, m.trs[i])
 		}
-		// The per-lane instances are live; read the merged timeline through
-		// Machine.Trace after the run.
-		return m.trs[0]
-	}
-	if m.tracer == nil {
-		m.tracer = trace.New()
-		m.Fab.Trace = m.tracer
 		for _, n := range m.nodes {
-			n.NIC.Trace = m.tracer
-			n.Kernel.Trace = m.tracer
+			n.NIC.Trace = m.nodeTrace(n.ID)
+			n.Kernel.Trace = n.NIC.Trace
 		}
 	}
-	return m.tracer
+	return m.trs[0]
 }
 
-// Trace returns the machine's tracer (nil unless tracing is enabled). On a
-// sharded machine it merges the per-lane tracers into a fresh one — call
-// it after Run, from the driver goroutine.
+// Trace merges the per-lane tracers into a fresh one (nil unless tracing
+// is enabled). Call it after Run, from the driver goroutine.
 func (m *Machine) Trace() *trace.Tracer {
-	if m.trs != nil {
-		return trace.Merged(m.trs...)
+	if m.trs == nil {
+		return nil
 	}
-	return m.tracer
+	return trace.Merged(m.trs...)
 }
 
-// EnableTelemetry attaches a telemetry handle to the machine — existing and
-// subsequently built nodes — and returns it: per-message latency
-// attribution through the generic driver, per-node interrupt dispatch
-// histograms, and the registry the RAS sampler and exporters use. Like
-// tracing, enable it before spawning processes; a machine without it pays
-// one pointer test per site and allocates nothing.
+// EnableTelemetry attaches telemetry to the machine — existing and
+// subsequently built nodes: per-message latency attribution through the
+// generic driver, per-node interrupt dispatch histograms, and the registry
+// the RAS sampler and exporters use. Like tracing, enable it before
+// spawning processes; a machine without it pays one pointer test per site
+// and allocates nothing. Each lane records into its own instance; it
+// returns lane 0's, and Machine.Telemetry merges them after the run.
 func (m *Machine) EnableTelemetry() *telemetry.Telemetry {
-	if m.kern != nil {
-		if m.tels == nil {
-			m.tels = make([]*telemetry.Telemetry, m.kern.Shards())
-			for i := range m.tels {
-				m.tels[i] = telemetry.New()
-				m.cl.SetTelemetry(i, m.tels[i])
-			}
-			for _, n := range m.nodes {
-				m.wireTelemetry(n)
-			}
+	if m.tels == nil {
+		m.tels = make([]*telemetry.Telemetry, m.kern.Shards())
+		for i := range m.tels {
+			m.tels[i] = telemetry.New()
+			m.cl.SetTelemetry(i, m.tels[i])
 		}
-		// The per-lane instances are live; read the merged view through
-		// Machine.Telemetry after the run.
-		return m.tels[0]
-	}
-	if m.tel == nil {
-		m.tel = telemetry.New()
-		m.Fab.Tel = m.tel
 		for _, n := range m.nodes {
 			m.wireTelemetry(n)
 		}
 	}
-	return m.tel
+	return m.tels[0]
 }
 
-// Telemetry returns the machine's telemetry handle (nil unless enabled).
-// On a sharded machine it merges the per-lane instances into a fresh one —
-// call it after Run, from the driver goroutine.
+// Telemetry merges the per-lane telemetry instances into a fresh one (nil
+// unless enabled). Call it after Run, from the driver goroutine.
 func (m *Machine) Telemetry() *telemetry.Telemetry {
-	if m.tels != nil {
-		return telemetry.Merged(m.tels...)
+	if m.tels == nil {
+		return nil
 	}
-	return m.tel
+	return telemetry.Merged(m.tels...)
 }
 
 // wireTelemetry points one node's components at its telemetry handle.
@@ -264,40 +226,6 @@ func (m *Machine) EnableGoBackN() {
 	for _, n := range m.nodes {
 		n.NIC.Policy = fw.ExhaustGoBackN
 	}
-}
-
-// Faults returns the fabric's fault-injection plane, creating it on first
-// use. Scenarios configure rules either up front via Params.Faults or at
-// runtime through the plane (AddRule, LinkDownFor, StallNodeFor, ...);
-// either way the plane's seeded PRNG keeps the run reproducible. Sharded
-// machines keep one plane per source node, so there is no single plane to
-// hand out — declare faults via Params.Faults or Params.Schedule instead.
-func (m *Machine) Faults() *fabric.FaultPlane {
-	m.seqOnly("runtime fault-plane access (declare Params.Faults or Params.Schedule up front)")
-	return m.Fab.Faults()
-}
-
-// InjectFault appends one fault rule at runtime.
-func (m *Machine) InjectFault(r model.FaultRule) {
-	m.seqOnly("runtime fault injection (declare Params.Faults or a Params.Schedule burst up front)")
-	m.Fab.Faults().AddRule(r)
-}
-
-// StallNodeFor holds all traffic destined to a node for dur, releasing it
-// in arrival order — a hung NIC that later resumes. On sharded machines
-// use a Params.Schedule stall entry, which plants the same window as
-// lane-local events before the kernel starts.
-func (m *Machine) StallNodeFor(node topo.NodeID, dur sim.Time) {
-	m.seqOnly("StallNodeFor (put a stall entry in Params.Schedule)")
-	m.Fab.Faults().StallNodeFor(node, dur)
-}
-
-// LinkDownFor takes the directed link leaving node in direction d out of
-// service for dur; messages routed across it are dropped meanwhile. On
-// sharded machines use a Params.Schedule linkdown entry.
-func (m *Machine) LinkDownFor(node topo.NodeID, d topo.Dir, dur sim.Time) {
-	m.seqOnly("LinkDownFor (put a linkdown entry in Params.Schedule)")
-	m.Fab.Faults().LinkDownFor(node, d, dur)
 }
 
 // App is one running application process.
@@ -378,21 +306,17 @@ const accelPendings = 256
 // FailureLedger report (with a dump when the flight recorder is on)
 // instead of panicking.
 func (m *Machine) Run() {
-	if m.kern != nil {
-		if m.hostprofOn {
-			t0 := time.Now()
-			m.kern.Run()
-			m.runWall += time.Since(t0)
-		} else {
-			m.kern.Run()
-		}
+	if m.hostprofOn {
+		t0 := time.Now()
+		m.kern.Run()
+		m.runWall += time.Since(t0)
 	} else {
-		m.S.Run()
+		m.kern.Run()
 	}
 	if m.sampler != nil && !m.sampler.halted {
-		// On a sharded machine every lane's clock reads the final horizon
-		// here (RunUntil sets it), which is shard-invariant, so the closing
-		// sample lands at the same timestamp at every shard count. The
+		// Every lane's clock reads the final horizon here, which is
+		// shard-invariant, so the closing sample lands at the same
+		// timestamp at every shard count. The
 		// closing sample flushes link meters instead of sampling them, so
 		// the final utilization window ends when each link went idle rather
 		// than being diluted across the drain to quiescence.
@@ -409,39 +333,27 @@ func (m *Machine) Run() {
 // and meters the closing sample already flushed (Flush is idempotent).
 func (m *Machine) flushMeters() {
 	now := m.S.Now()
-	if m.kern != nil {
-		for i, tel := range m.tels {
-			for _, mt := range m.cl.LaneFabric(i).Meters() {
-				mt.Flush(tel, now)
-			}
-		}
-		return
-	}
-	if m.tel != nil {
-		for _, mt := range m.Fab.Meters() {
-			mt.Flush(m.tel, now)
+	for i, tel := range m.tels {
+		for _, mt := range m.cl.LaneFabric(i).Meters() {
+			mt.Flush(tel, now)
 		}
 	}
 }
 
 // RunUntil executes the simulation up to a virtual-time horizon, then
 // advances the clock to (at least) t — the idiom RAS monitors and staged
-// scenario drivers use between final Run calls. On a sharded machine the
-// horizon rounds up to the kernel's next window barrier, so events within
-// lookahead−1 past t may run with their window; the rounding depends only
-// on the workload's event times, never on the partition, so a
-// RunUntil-driven run remains bit-identical at every shard count
-// (sim.Kernel.RunUntil documents the argument).
+// scenario drivers use between final Run calls. The horizon rounds up to
+// the kernel's next window barrier, so events within lookahead−1 past t
+// may run with their window; the rounding depends only on the workload's
+// event times, never on the partition, so a RunUntil-driven run remains
+// bit-identical at every shard count (sim.Kernel.RunUntil documents the
+// argument).
 func (m *Machine) RunUntil(t sim.Time) {
-	if m.kern != nil {
-		if m.hostprofOn {
-			t0 := time.Now()
-			m.kern.RunUntil(t)
-			m.runWall += time.Since(t0)
-		} else {
-			m.kern.RunUntil(t)
-		}
-		return
+	if m.hostprofOn {
+		t0 := time.Now()
+		m.kern.RunUntil(t)
+		m.runWall += time.Since(t0)
+	} else {
+		m.kern.RunUntil(t)
 	}
-	m.S.RunUntil(t)
 }

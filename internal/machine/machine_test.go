@@ -288,7 +288,7 @@ func TestAcceleratedBeatsGenericLatency(t *testing.T) {
 func TestLinuxNodePagedBuffers(t *testing.T) {
 	p := model.Defaults()
 	tp, _ := topo.New(2, 1, 1, false, false, false)
-	m := New(p, tp)
+	m := NewSharded(p, tp, 1)
 	m.OSKind = func(topo.NodeID) oskernel.Kind { return oskernel.Linux }
 	payload := make([]byte, 100000)
 	for i := range payload {
@@ -323,7 +323,7 @@ func TestUkbridgeAndKbridgeCoexist(t *testing.T) {
 	// application (ukbridge) sharing the network interface (§3.2).
 	p := model.Defaults()
 	tp, _ := topo.New(2, 1, 1, false, false, false)
-	m := New(p, tp)
+	m := NewSharded(p, tp, 1)
 	m.OSKind = func(topo.NodeID) oskernel.Kind { return oskernel.Linux }
 
 	gotUser, gotKernel := false, false
@@ -383,7 +383,7 @@ func TestPutWithAckEndToEnd(t *testing.T) {
 func TestNIDistMatchesTopology(t *testing.T) {
 	p := model.Defaults()
 	tp, _ := topo.New(4, 1, 1, false, false, false)
-	m := New(p, tp)
+	m := NewSharded(p, tp, 1)
 	var d0, d3 int
 	m.Spawn(0, "app", Generic, func(app *App) {
 		d0 = app.API.NIDist(0)

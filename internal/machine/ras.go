@@ -40,8 +40,8 @@ func (m *Machine) installFailureHandler(n *Node) {
 	nic := n.NIC
 	id := n.ID
 	nic.OnPanic = func(reason string) {
-		// nic.S is the node's own lane, so the timestamp is race-free on a
-		// sharded machine too; the funnel itself serializes internally.
+		// nic.S is the node's own lane, so the timestamp is race-free; the
+		// funnel itself serializes internally.
 		at := nic.S.Now()
 		m.mu.Lock()
 		m.failures = append(m.failures, NodeFailure{Node: id, Reason: reason, At: at})
@@ -79,19 +79,15 @@ func (r *RAS) Stop() { r.halted = true }
 // monitor that samples them every period, declaring a node dead after
 // three silent samples.
 //
-// On a classic machine heartbeats are firmware self-ticks
-// (NIC.StartHeartbeat) and the monitor reschedules itself forever, so
-// drive the simulation with RunUntil (and Stop the monitor before a final
-// Run). On a sharded machine both halves run as kernel barrier ticks
-// (sim.Kernel.Every) instead: heartbeat ticks at period/4 increment every
-// live NIC's counter, and the monitor samples at period — registered in
-// that order, so at a coinciding tick time the increment precedes the
-// read. Barrier ticks stop at kernel quiescence, so a sharded RAS does not
-// keep the machine alive and Machine.Run returns normally. The classic
-// RunUntil idiom works sharded too: Machine.RunUntil fires the barrier
-// ticks due through its horizon even once the lanes are quiescent, so a
-// RunUntil-driven loop keeps the monitor sampling at the same virtual
-// times at every shard count. A node that
+// Both halves run as kernel barrier ticks (sim.Kernel.Every): heartbeat
+// ticks at period/4 increment every live NIC's counter, and the monitor
+// samples at period — registered in that order, so at a coinciding tick
+// time the increment precedes the read. Barrier ticks stop at kernel
+// quiescence, so the RAS does not keep the machine alive and Machine.Run
+// returns normally. Machine.RunUntil fires the barrier ticks due through
+// its horizon even once the lanes are quiescent, so a RunUntil-driven loop
+// keeps the monitor sampling at the same virtual times at every shard
+// count. A node that
 // panics mid-run stops accruing heartbeats (NIC.Kill also halts the
 // firmware's own per-handler increments) and is declared dead three
 // monitor samples later, at the same virtual time at every shard count.
@@ -112,40 +108,25 @@ func (m *Machine) StartRAS(period sim.Time) *RAS {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	if m.kern != nil {
-		hb := period / 4
-		if hb <= 0 {
-			hb = 1
-		}
-		m.kern.Every(hb, func(now sim.Time) {
-			if r.halted {
-				return
-			}
-			for _, id := range ids {
-				if n := m.nodes[id]; !n.NIC.Dead() {
-					n.NIC.Heartbeat++
-				}
-			}
-		})
-		m.kern.Every(period, func(now sim.Time) {
-			if !r.halted {
-				r.check(now)
-			}
-		})
-		return r
+	hb := period / 4
+	if hb <= 0 {
+		hb = 1
 	}
-	for _, id := range ids {
-		m.nodes[id].NIC.StartHeartbeat(period / 4)
-	}
-	var sample func()
-	sample = func() {
+	m.kern.Every(hb, func(now sim.Time) {
 		if r.halted {
 			return
 		}
-		r.check(m.S.Now())
-		m.S.After(period, sample)
-	}
-	m.S.After(period, sample)
+		for _, id := range ids {
+			if n := m.nodes[id]; !n.NIC.Dead() {
+				n.NIC.Heartbeat++
+			}
+		}
+	})
+	m.kern.Every(period, func(now sim.Time) {
+		if !r.halted {
+			r.check(now)
+		}
+	})
 	return r
 }
 

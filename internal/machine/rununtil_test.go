@@ -85,9 +85,8 @@ func runHorizonDriven(t *testing.T, shards int) string {
 
 // TestRunUntilShardedBitIdentity: a horizon-driven sharded run — RunUntil
 // steps with a mid-loop NIC kill observed by the RAS monitor — produces a
-// byte-identical digest at every shard count. This is the idiom seqOnly
-// used to reject; it now runs on the parallel kernel with the horizon
-// rounded up to the next window barrier.
+// byte-identical digest at every shard count, with the horizon rounded up
+// to the next window barrier.
 func TestRunUntilShardedBitIdentity(t *testing.T) {
 	ref := runHorizonDriven(t, 1)
 	if len(ref) == 0 {

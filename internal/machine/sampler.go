@@ -15,14 +15,14 @@ import (
 // gathering path the real Red Storm RAS network provided, feeding the
 // machine's telemetry registry for export.
 //
-// On a sharded machine the sampler is lane-local: ticks fire at the
-// kernel's canonical barrier times (sim.Kernel.Every), where every lane's
-// clock agrees and the lane workers have joined, so the coordinator may
-// read any node's counters race-free. Per-node series land in the owning
-// lane's telemetry instance; the fabric aggregates are recorded as
-// per-lane partials that telemetry.Merged sums pointwise (samples share
-// timestamps across lanes by construction). Either way the merged export
-// is byte-identical at every shard count.
+// The sampler is lane-local: ticks fire at the kernel's canonical barrier
+// times (sim.Kernel.Every), where every lane's clock agrees and the lane
+// workers have joined, so the coordinator may read any node's counters
+// race-free. Per-node series land in the owning lane's telemetry instance;
+// the fabric aggregates are recorded as per-lane partials that
+// telemetry.Merged sums pointwise (samples share timestamps across lanes
+// by construction), so the merged export is byte-identical at every shard
+// count.
 
 // nodeSeries caches one node's series pointers so a tick does no map
 // lookups beyond discovering newly built nodes.
@@ -51,8 +51,7 @@ type nodeSeries struct {
 	evqHigh    *telemetry.Gauge
 }
 
-// laneFab caches one lane's fabric-aggregate series (the classic machine
-// has exactly one, bound to its single telemetry instance).
+// laneFab caches one lane's fabric-aggregate series.
 type laneFab struct {
 	messages  *telemetry.Series
 	chunks    *telemetry.Series
@@ -67,15 +66,12 @@ type Sampler struct {
 	halted bool
 	nodes  map[topo.NodeID]*nodeSeries
 
-	// Fabric aggregates: one entry on a classic machine, one per lane on a
-	// sharded one (partials that sum pointwise under telemetry.Merged).
+	// Fabric aggregates: one entry per lane (partials that sum pointwise
+	// under telemetry.Merged).
 	fabs []laneFab
 
-	// Simulator internals — classic machine only. Per-lane event counts
-	// depend on the node partition, so a sharded machine records
-	// kernel_windows_total (shard-invariant; see sim.Kernel) instead.
-	simFired    *telemetry.Series
-	simPending  *telemetry.Series
+	// Per-lane event counts depend on the node partition, so the sampler
+	// records the shard-invariant window count (see sim.Kernel) instead.
 	kernWindows *telemetry.Series
 
 	// lastAt dedupes the final quiesce-time sample against a tick that
@@ -98,11 +94,8 @@ type Sampler struct {
 // into telemetry time series, every period of simulated time. Telemetry is
 // enabled if it was not already.
 //
-// Unlike the classic heartbeat monitor (StartRAS), the sampler
-// self-terminates: a classic tick only reschedules while other work is
-// pending on the event heap, and sharded barrier ticks stop at kernel
-// quiescence — so Machine.Run still returns, with a final sample taken at
-// quiesce time.
+// Barrier ticks stop at kernel quiescence, so Machine.Run still returns,
+// with a final sample taken at quiesce time.
 func (m *Machine) StartSampler(period sim.Time) *Sampler {
 	if m.sampler != nil {
 		return m.sampler
@@ -110,33 +103,16 @@ func (m *Machine) StartSampler(period sim.Time) *Sampler {
 	m.EnableTelemetry()
 	sp := &Sampler{m: m, period: period, nodes: make(map[topo.NodeID]*nodeSeries)}
 	m.sampler = sp
-	if m.kern != nil {
-		sp.fabs = make([]laneFab, m.kern.Shards())
-		for i, tel := range m.tels {
-			sp.fabs[i] = bindFab(tel)
-		}
-		sp.kernWindows = m.tels[0].SeriesFor("kernel_windows_total")
-		m.kern.Every(period, func(now sim.Time) {
-			if !sp.halted {
-				sp.sampleAt(now)
-			}
-		})
-		return sp
+	sp.fabs = make([]laneFab, m.kern.Shards())
+	for i, tel := range m.tels {
+		sp.fabs[i] = bindFab(tel)
 	}
-	sp.fabs = []laneFab{bindFab(m.tel)}
-	sp.simFired = m.tel.SeriesFor("sim_events_fired_total")
-	sp.simPending = m.tel.SeriesFor("sim_events_pending")
-	var tick func()
-	tick = func() {
-		if sp.halted {
-			return
+	sp.kernWindows = m.tels[0].SeriesFor("kernel_windows_total")
+	m.kern.Every(period, func(now sim.Time) {
+		if !sp.halted {
+			sp.sampleAt(now)
 		}
-		sp.sampleAt(m.S.Now())
-		if m.S.Pending() > 0 {
-			m.S.After(period, tick)
-		}
-	}
-	m.S.After(period, tick)
+	})
 	return sp
 }
 
@@ -195,23 +171,14 @@ func (sp *Sampler) sampleAt(now sim.Time) {
 		ns.srcLow.Set(float64(occ.SourcesLow))
 		ns.evqHigh.Set(float64(n.Generic.EvQueueHigh()))
 	}
-	if m.kern != nil {
-		for i := range sp.fabs {
-			f := m.cl.LaneFabric(i)
-			sp.fabs[i].append(now, f.Stats)
-			for _, mt := range f.Meters() {
-				sp.meterAt(mt, m.tels[i], now)
-			}
+	for i := range sp.fabs {
+		f := m.cl.LaneFabric(i)
+		sp.fabs[i].append(now, f.Stats)
+		for _, mt := range f.Meters() {
+			sp.meterAt(mt, m.tels[i], now)
 		}
-		sp.kernWindows.Append(now, float64(m.kern.Windows))
-		return
 	}
-	sp.fabs[0].append(now, m.Fab.Stats)
-	for _, mt := range m.Fab.Meters() {
-		sp.meterAt(mt, m.tel, now)
-	}
-	sp.simFired.Append(now, float64(m.S.Fired))
-	sp.simPending.Append(now, float64(m.S.Pending()))
+	sp.kernWindows.Append(now, float64(m.kern.Windows))
 }
 
 // meterAt advances one link meter: a periodic tick samples the window

@@ -7,17 +7,14 @@ import (
 	"portals3/internal/topo"
 )
 
-// Declarative fault-schedule application (model.FaultSchedule): the path
-// that finally runs timed faults on sharded machines. The runtime scenario
-// helpers (StallNodeFor, LinkDownFor) mutate the fault plane from the
-// driver goroutine, which only a single-lane machine can tolerate; a
-// schedule instead compiles to events planted at machine construction, so
-// by the time the kernel runs, every fault activation is an ordinary
-// lane-local event.
+// Declarative fault-schedule application (model.FaultSchedule): the one
+// way to run timed faults. A schedule compiles to events planted at
+// machine construction, so by the time the kernel runs, every fault
+// activation is an ordinary lane-local event.
 //
-// Sharded machines keep one fault plane per source node (injections are
-// filtered where they happen), so link-down and stall state must be
-// visible to every plane: each timed entry becomes one event per node, on
+// Machines keep one fault plane per source node (injections are filtered
+// where they happen), so link-down and stall state must be visible to
+// every plane: each timed entry becomes one event per node, on
 // that node's own lane, mutating only that node's plane. Events are
 // planted iterating nodes in id order with the schedule in spec order —
 // insertion order per (lane, time) is therefore a pure function of the
@@ -31,7 +28,7 @@ import (
 // installed on the planes at construction (FaultSchedule.Rules).
 
 // applySchedule plants Params.Schedule's timed entries. Called once from
-// New/NewSharded; panics on a schedule that does not validate against the
+// NewSharded; panics on a schedule that does not validate against the
 // machine's topology, before any virtual time has passed.
 func (m *Machine) applySchedule() {
 	if len(m.P.Schedule) == 0 {
@@ -44,10 +41,6 @@ func (m *Machine) applySchedule() {
 	if len(timed) == 0 {
 		return
 	}
-	if m.kern == nil {
-		m.planScheduleOn(m.S, m.Fab.Faults(), -1, timed)
-		return
-	}
 	for id := 0; id < m.Topo.Nodes(); id++ {
 		nid := topo.NodeID(id)
 		m.planScheduleOn(m.laneSim(nid), m.cl.Plane(nid), id, timed)
@@ -55,8 +48,7 @@ func (m *Machine) applySchedule() {
 }
 
 // planScheduleOn plants one plane's view of the timed entries on its
-// lane's simulator. self is the plane's node id on sharded machines (each
-// node owns a plane) and -1 on a classic machine (one plane sees all).
+// lane's simulator; self is the plane's node id.
 func (m *Machine) planScheduleOn(s *sim.Sim, pl *fabric.FaultPlane, self int, timed []model.ScheduleEntry) {
 	for _, e := range timed {
 		e := e
@@ -87,8 +79,8 @@ func (m *Machine) planScheduleOn(s *sim.Sim, pl *fabric.FaultPlane, self int, ti
 			})
 		case model.SchedCorrupt:
 			// Planted ledger corruption lands on the affected node's own
-			// plane (the classic machine's single plane sees everything).
-			if self == -1 || self == e.Node {
+			// plane.
+			if self == e.Node {
 				s.At(e.At, func() { pl.CorruptLedger() })
 			}
 		}

@@ -67,9 +67,8 @@ func runScheduledStream(t *testing.T, spec string, shards, msgs int) ([]byte, fa
 }
 
 func TestScheduledFaultsOnShardedMachine(t *testing.T) {
-	// The timed-fault path that used to panic via seqOnly: link outages,
-	// node stalls and a firmware restart declared in Params.Schedule, run on
-	// sharded machines. Go-back-n must recover every scheduled blackout, the
+	// Link outages, node stalls and a firmware restart declared in
+	// Params.Schedule, run on sharded machines. Go-back-n must recover every scheduled blackout, the
 	// ledger must balance at quiescence, and every shard count must agree
 	// bit-for-bit on payloads, fault counters and completion time.
 	const spec = "linkdown:1:X+:150us:100us,stall:3:400us:80us,restart:2:600us:50us"
@@ -117,7 +116,7 @@ func TestScheduleValidatedAtConstruction(t *testing.T) {
 	p := model.Defaults()
 	p.Schedule, _ = model.ParseSchedule("linkdown:0:Y+:100us:50us")
 	tp, _ := topo.New(2, 1, 1, false, false, false)
-	New(p, tp)
+	NewSharded(p, tp, 1)
 }
 
 func TestLinkMeterFinalWindowWithoutSampler(t *testing.T) {
@@ -152,13 +151,12 @@ func TestLinkMeterFinalWindowWithoutSampler(t *testing.T) {
 }
 
 func TestLinkMeterFinalWindowWithSampler(t *testing.T) {
-	// With the sampler running, the transfer ends mid-window. On a classic
-	// machine the last tick is itself the final event, so the final window
-	// closes at quiesce with at most one period of idle tail — before the
-	// fix it could cover the entire drain and read near-idle. The first
-	// hop's meter must report nonzero utilization in its last window, with
-	// strictly increasing window ends and no duplicate point from the
-	// post-sample flush (Flush is idempotent against the closing sample).
+	// With the sampler running, the transfer ends mid-window; before the
+	// fix the final window could cover the entire drain and read near-idle.
+	// The first hop's meter must report nonzero utilization in its last
+	// window, with strictly increasing window ends and no duplicate point
+	// from the post-sample flush (Flush is idempotent against the closing
+	// sample).
 	m := NewPair(model.Defaults())
 	m.StartSampler(20 * sim.Microsecond)
 	onePut(t, m, make([]byte, 256<<10))

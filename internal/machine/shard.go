@@ -10,22 +10,17 @@ import (
 	"portals3/internal/trace"
 )
 
-// This file assembles sharded machines: the same node components as the
-// classic single-lane machine, but each node built on its lane's simulator
+// This file assembles machines: each node built on its lane's simulator
 // against its NodePort, run by the parallel kernel (sim.Kernel) under the
-// fabric's conservative lookahead. A sharded machine with shards=1 is the
-// bit-identical reference for any shard count (DESIGN.md §11); the classic
-// machine remains the reference for the whole-path wire model.
+// fabric's conservative lookahead. A machine with shards=1 is the
+// bit-identical reference for any shard count (DESIGN.md §11).
 //
 // Observers — tracing, the RAS sampler, the heartbeat monitor, the stall
-// detector — run lane-local on a sharded machine: each lane records into
-// its own tracer/telemetry instance, liveness checks fire at the kernel's
-// canonical barrier ticks (sim.Kernel.Every), and the per-lane artifacts
-// merge deterministically at snapshot time (DESIGN.md §12). RunUntil works
-// on both kernels (the sharded horizon rounds up to the next window
-// barrier, DESIGN.md §14); only runtime fault injection — the
-// Faults/InjectFault/StallNodeFor/LinkDownFor mutators, superseded by
-// Params.Schedule — still panics via seqOnly.
+// detector — run lane-local: each lane records into its own
+// tracer/telemetry instance, liveness checks fire at the kernel's canonical
+// barrier ticks (sim.Kernel.Every), and the per-lane artifacts merge
+// deterministically at snapshot time (DESIGN.md §12). Timed faults are
+// declared up front in Params.Schedule (schedule.go).
 
 // NewSharded builds a machine over the given topology whose nodes are
 // partitioned into `shards` parallel event lanes. Nodes are assigned to
@@ -60,62 +55,33 @@ func NewSharded(p model.Params, tp *topo.Topology, shards int) *Machine {
 	return m
 }
 
-// Sharded reports whether this machine runs on the parallel kernel.
-func (m *Machine) Sharded() bool { return m.kern != nil }
-
-// ShardKernel returns the parallel kernel (nil on a classic machine), for
-// diagnostics such as the window count.
+// ShardKernel returns the parallel kernel, for diagnostics such as the
+// window count.
 func (m *Machine) ShardKernel() *sim.Kernel { return m.kern }
 
 // laneSim returns the simulator a node's components live on.
-func (m *Machine) laneSim(id topo.NodeID) *sim.Sim {
-	if m.kern == nil {
-		return m.S
-	}
-	return m.kern.Lane(m.cl.Lane(id))
+func (m *Machine) laneSim(id topo.NodeID) *sim.Sim { return m.kern.Lane(m.cl.Lane(id)) }
+
+// FaultSnapshot returns the machine's fault-ledger counters, summed over
+// the per-node planes; ok is false when Params configures no faults.
+func (m *Machine) FaultSnapshot() (fabric.FaultStats, bool) { return m.cl.FaultSnapshot() }
+
+// LinkUtilization reports the lifetime utilization of the directed link
+// leaving node in direction d (zero if the link was never used), read from
+// the fabric of the lane that owns the link.
+func (m *Machine) LinkUtilization(node topo.NodeID, d topo.Dir) float64 {
+	return m.cl.LaneFabric(m.cl.Lane(node)).LinkUtilization(node, d)
 }
 
-// nodePort returns the fabric interface a node's NIC holds.
-func (m *Machine) nodePort(id topo.NodeID) fabric.Port {
-	if m.kern == nil {
-		return m.Fab
-	}
-	return m.cl.Port(id)
-}
+// nodeTel returns the telemetry handle of a node's lane (telemetry must be
+// enabled).
+func (m *Machine) nodeTel(id topo.NodeID) *telemetry.Telemetry { return m.tels[m.cl.Lane(id)] }
 
-// seqOnly panics when a sequential-only feature is used on a sharded
-// machine.
-func (m *Machine) seqOnly(feature string) {
-	if m.kern != nil {
-		panic("machine: " + feature + " is not supported on a sharded machine (use the classic machine.New)")
-	}
-}
-
-// FaultSnapshot returns the machine's fault-ledger counters: the classic
-// fabric's plane, or the sum of a sharded cluster's per-node planes.
-func (m *Machine) FaultSnapshot() (fabric.FaultStats, bool) {
-	if m.kern != nil {
-		return m.cl.FaultSnapshot()
-	}
-	return m.Fab.FaultSnapshot()
-}
-
-// nodeTel returns the telemetry handle a node's components wire to: the
-// machine-wide instance on a classic machine, the node's lane instance on
-// a sharded one.
-func (m *Machine) nodeTel(id topo.NodeID) *telemetry.Telemetry {
-	if m.tels != nil {
-		return m.tels[m.cl.Lane(id)]
-	}
-	return m.tel
-}
-
-// nodeTrace returns the tracer a node's components record into: the
-// machine-wide instance on a classic machine, the node's lane instance on
-// a sharded one (nil until tracing is enabled).
+// nodeTrace returns the tracer of a node's lane (nil until tracing is
+// enabled).
 func (m *Machine) nodeTrace(id topo.NodeID) *trace.Tracer {
-	if m.trs != nil {
-		return m.trs[m.cl.Lane(id)]
+	if m.trs == nil {
+		return nil
 	}
-	return m.tracer
+	return m.trs[m.cl.Lane(id)]
 }

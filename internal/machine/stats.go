@@ -56,11 +56,7 @@ func (m *Machine) Stats() Stats {
 			HTWrBusy:   n.Chip.HTWrite.Utilization(),
 		})
 	}
-	if m.kern != nil {
-		out.Fabric = m.cl.StatsSum()
-	} else {
-		out.Fabric = m.Fab.Stats
-	}
+	out.Fabric = m.cl.StatsSum()
 	return out
 }
 

@@ -178,7 +178,7 @@ func TestSamplerTicksAndSelfTerminates(t *testing.T) {
 	}
 	tel := m.Telemetry()
 	for _, name := range []string{
-		"fabric_messages_total", "fabric_delivered_total", "sim_events_fired_total",
+		"fabric_messages_total", "fabric_delivered_total", "kernel_windows_total",
 	} {
 		s := tel.SeriesFor(name)
 		if len(s.Samples) != sp.Samples {
@@ -248,7 +248,7 @@ func TestCounterConsistencyMultiNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(model.Defaults(), tp)
+	m := NewSharded(model.Defaults(), tp, 1)
 	m.EnableTelemetry()
 
 	const nodes = 4

@@ -33,10 +33,16 @@ const (
 	// FaultReorder is FaultDelay with a random extra latency drawn uniformly
 	// from (0, Rule.Delay] per matched frame.
 	FaultReorder
+	// FaultCorrupt flips one payload bit of the message's last chunk — the
+	// rare multi-bit error that evades the link CRC-16 and that the
+	// end-to-end CRC-32 exists to catch. It matches only messages that
+	// carry payload chunks and is not a loss, so it opens no ledger entry.
+	// It has no ParseFaults spelling.
+	FaultCorrupt
 )
 
 func (k FaultKind) String() string {
-	return [...]string{"drop", "dup", "delay", "reorder"}[k]
+	return [...]string{"drop", "dup", "delay", "reorder", "corrupt"}[k]
 }
 
 // FrameClass selects which frames a rule applies to.

@@ -154,8 +154,8 @@ func (s FaultSchedule) MaxDur() sim.Time {
 
 // Validate checks every entry against a topology: node ids in range,
 // linkdown directions that exist at their node, positive windows, sane
-// burst rules. A schedule that validates applies identically on classic
-// and sharded machines.
+// burst rules. A schedule that validates applies identically at every
+// shard count.
 func (s FaultSchedule) Validate(tp *topo.Topology) error {
 	for i, e := range s {
 		if e.At < 0 {

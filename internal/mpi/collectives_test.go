@@ -18,7 +18,7 @@ func launchN(t *testing.T, n int, main func(r *Rank)) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := machine.New(model.Defaults(), tp)
+	m := machine.NewSharded(model.Defaults(), tp, 1)
 	nodes := make([]topo.NodeID, n)
 	for i := range nodes {
 		nodes[i] = topo.NodeID(i)
@@ -108,7 +108,7 @@ func TestBcastScalesLogarithmically(t *testing.T) {
 	// 16-rank broadcast must take far less than 15/3 of the 4-rank one.
 	timeFor := func(ranks int) sim.Time {
 		tp, _ := topo.New(ranks, 1, 1, false, false, false)
-		m := machine.New(model.Defaults(), tp)
+		m := machine.NewSharded(model.Defaults(), tp, 1)
 		nodes := make([]topo.NodeID, ranks)
 		for i := range nodes {
 			nodes[i] = topo.NodeID(i)
@@ -145,7 +145,7 @@ func TestAllreduceConvergesAcrossImpls(t *testing.T) {
 	for _, impl := range []Impl{MPICH1, MPICH2} {
 		impl := impl
 		tp, _ := topo.New(4, 1, 1, false, false, false)
-		m := machine.New(model.Defaults(), tp)
+		m := machine.NewSharded(model.Defaults(), tp, 1)
 		if err := Launch(m, []topo.NodeID{0, 1, 2, 3}, impl, machine.Generic, func(r *Rank) {
 			buf := r.Alloc(8)
 			putU64s(buf, uint64(r.Rank()+1))

@@ -45,7 +45,7 @@ func Example_pingpong() {
 // Example_allreduce shows the binomial-tree collectives on four ranks.
 func Example_allreduce() {
 	tp, _ := topo.New(4, 1, 1, false, false, false)
-	m := machine.New(model.Defaults(), tp)
+	m := machine.NewSharded(model.Defaults(), tp, 1)
 	err := mpi.Launch(m, []topo.NodeID{0, 1, 2, 3}, mpi.MPICH2, machine.Generic, func(r *mpi.Rank) {
 		buf := r.Alloc(8)
 		buf.WriteAt(0, []byte{byte(r.Rank() + 1), 0, 0, 0, 0, 0, 0, 0})

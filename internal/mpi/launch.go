@@ -9,43 +9,20 @@ import (
 	"portals3/internal/topo"
 )
 
-// DefaultStart is the virtual-time start barrier LaunchAt uses on behalf
-// of Launch: rank initialization runs at t=0 in parallel across nodes and
+// DefaultStart is the delay of the virtual-time start barrier Launch sets
+// through LaunchAt: rank initialization runs in parallel across nodes and
 // takes well under this regardless of job size, so every rank's library is
 // armed before any rank's main begins.
 const DefaultStart = 500 * sim.Microsecond
 
 // Launch spawns an MPI job: one rank per listed node, running main. It
 // mirrors yod/mpirun on the real machine — the job launcher distributes the
-// rank-to-node map and synchronizes startup before user code runs.
-//
-// On a classic machine startup uses an out-of-band signal barrier. On a
-// sharded machine the barrier's shared counter would be touched from every
-// lane at once, so Launch delegates to LaunchAt's virtual-time barrier
-// instead — same guarantee (no rank sends before every rank's sinks are
-// posted), no cross-lane state.
+// rank-to-node map and synchronizes startup before user code runs. The
+// synchronization is LaunchAt's virtual-time barrier DefaultStart after the
+// machine's current time: no rank sends before every rank's sinks are
+// posted, and no state is shared across lanes.
 func Launch(m *machine.Machine, nodes []topo.NodeID, impl Impl, mode machine.Mode, main func(r *Rank)) error {
-	if m.Sharded() {
-		return LaunchAt(m, nodes, ConfigFor(&m.P, impl), mode, DefaultStart, main)
-	}
-	peers := make([]core.ProcessID, len(nodes))
-	bar := &launchBarrier{need: len(nodes), sig: sim.NewSignal(m.S)}
-	for i, node := range nodes {
-		i := i
-		app, err := m.Spawn(node, fmt.Sprintf("rank%d", i), mode, func(app *machine.App) {
-			r, err := NewRank(app.API, app.Proc, app.Alloc, &m.P, ConfigFor(&m.P, impl), i, peers)
-			if err != nil {
-				panic(fmt.Sprintf("mpi: rank %d init: %v", i, err))
-			}
-			bar.wait(app.Proc)
-			main(r)
-		})
-		if err != nil {
-			return err
-		}
-		peers[i] = app.ID()
-	}
-	return nil
+	return LaunchAt(m, nodes, ConfigFor(&m.P, impl), mode, m.S.Now()+DefaultStart, main)
 }
 
 // LaunchAt spawns an MPI job with an explicit profile and a virtual-time
@@ -79,22 +56,4 @@ func LaunchAt(m *machine.Machine, nodes []topo.NodeID, cfg Config, mode machine.
 		peers[i] = app.ID()
 	}
 	return nil
-}
-
-// launchBarrier is the out-of-band job-launch synchronization: every rank
-// must have its sinks posted before any rank may send. (The real launcher
-// does this over the RAS network, outside the Portals data path.)
-type launchBarrier struct {
-	need int
-	have int
-	sig  *sim.Signal
-}
-
-func (b *launchBarrier) wait(p *sim.Proc) {
-	b.have++
-	if b.have == b.need {
-		b.sig.Raise()
-		return
-	}
-	b.sig.Wait(p)
 }

@@ -229,7 +229,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := machine.New(p, tp)
+	m := machine.NewSharded(p, tp, 1)
 	before := make([]sim.Time, 4)
 	after := make([]sim.Time, 4)
 	err = Launch(m, []topo.NodeID{0, 1, 2, 3}, MPICH1, machine.Generic, func(r *Rank) {
@@ -320,5 +320,36 @@ func TestMPIOverheadOrdering(t *testing.T) {
 	// Both sit within the paper's ballpark.
 	if m1 < 6*sim.Microsecond || m2 > 12*sim.Microsecond {
 		t.Errorf("MPI latencies out of range: %v / %v", m1, m2)
+	}
+}
+
+// TestLaunchAfterMachineHasRun launches on a machine whose clock is already
+// past DefaultStart: the start barrier is relative to the machine's time,
+// so the job starts DefaultStart later instead of overrunning its barrier.
+func TestLaunchAfterMachineHasRun(t *testing.T) {
+	m := machine.NewPair(model.Defaults())
+	m.RunUntil(2 * DefaultStart)
+	t0 := m.S.Now()
+	const n = 256
+	for job := 0; job < 2; job++ {
+		var started sim.Time
+		err := Launch(m, []topo.NodeID{0, 1}, MPICH1, machine.Generic, func(r *Rank) {
+			buf := r.Alloc(n)
+			if r.Rank() == 0 {
+				started = r.Proc().Now()
+				fill(buf, n, 5)
+				r.Send(1, 1, buf, 0, n)
+			} else if got := r.Recv(0, 1, buf, 0, n); got != n {
+				t.Errorf("job %d received %d bytes, want %d", job, got, n)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Run()
+		if want := t0 + DefaultStart; started != want {
+			t.Errorf("job %d started at %v, want %v", job, started, want)
+		}
+		t0 = m.S.Now()
 	}
 }

@@ -81,7 +81,7 @@ func TestRendezvousFromPagedLinuxBuffers(t *testing.T) {
 	// buffer into a paged buffer — the per-page DMA command path of §3.3.
 	p := model.Defaults()
 	tp, _ := topo.New(2, 1, 1, false, false, false)
-	m := machine.New(p, tp)
+	m := machine.NewSharded(p, tp, 1)
 	m.OSKind = func(topo.NodeID) oskernel.Kind { return oskernel.Linux }
 	const n = 512 << 10
 	err := Launch(m, []topo.NodeID{0, 1}, MPICH2, machine.Generic, func(r *Rank) {

@@ -63,7 +63,7 @@ func apiCallCost(t *testing.T, kind oskernel.Kind, mode machine.Mode) sim.Time {
 	t.Helper()
 	p := model.Defaults()
 	tp, _ := topo.New(2, 1, 1, false, false, false)
-	m := machine.New(p, tp)
+	m := machine.NewSharded(p, tp, 1)
 	m.OSKind = func(topo.NodeID) oskernel.Kind { return kind }
 	var took sim.Time
 	if _, err := m.Spawn(0, "probe", mode, func(app *machine.App) {
@@ -98,7 +98,7 @@ func TestPagedBufferPutChargesPerPage(t *testing.T) {
 	cost := func(pages int) sim.Time {
 		p := model.Defaults()
 		tp, _ := topo.New(2, 1, 1, false, false, false)
-		m := machine.New(p, tp)
+		m := machine.NewSharded(p, tp, 1)
 		m.OSKind = func(topo.NodeID) oskernel.Kind { return oskernel.Linux }
 		var took sim.Time
 		var dst *machine.App
@@ -134,7 +134,7 @@ func TestPagedBufferPutChargesPerPage(t *testing.T) {
 func TestEQPollTimesOut(t *testing.T) {
 	p := model.Defaults()
 	tp, _ := topo.New(1, 1, 1, false, false, false)
-	m := machine.New(p, tp)
+	m := machine.NewSharded(p, tp, 1)
 	var err error
 	var waited sim.Time
 	m.Spawn(0, "poller", machine.Generic, func(app *machine.App) {
@@ -157,7 +157,7 @@ func TestLockSerializesAPIAgainstDriver(t *testing.T) {
 	// application must wait for the handler to finish.
 	p := model.Defaults()
 	tp, _ := topo.New(2, 1, 1, false, false, false)
-	m := machine.New(p, tp)
+	m := machine.NewSharded(p, tp, 1)
 	var dst *machine.App
 	blocked := false
 	dst, _ = m.Spawn(1, "rx", machine.Generic, func(app *machine.App) {
@@ -198,7 +198,7 @@ func TestSendBacklogDrainsWhenPendingsFree(t *testing.T) {
 	p := model.Defaults()
 	p.NumGenericPendings = 8 // 4 TX pendings
 	tp, _ := topo.New(2, 1, 1, false, false, false)
-	m := machine.New(p, tp)
+	m := machine.NewSharded(p, tp, 1)
 	// The receiver's RX pool is equally tiny; go-back-n keeps the incast
 	// recoverable so the test can focus on the sender-side backlog.
 	m.EnableGoBackN()
@@ -291,7 +291,7 @@ func TestRefNALRunsPortalsSemantics(t *testing.T) {
 func TestEQPollResolvesQueueIndex(t *testing.T) {
 	p := model.Defaults()
 	tp, _ := topo.New(2, 1, 1, false, false, false)
-	m := machine.New(p, tp)
+	m := machine.NewSharded(p, tp, 1)
 	var b *machine.App
 	gotIdx := -1
 	b, _ = m.Spawn(1, "rx", machine.Generic, func(app *machine.App) {

@@ -176,5 +176,8 @@ func (c *Credits) Put(n int64) {
 // Available reports the free credits.
 func (c *Credits) Available() int64 { return c.avail }
 
+// Waiting reports how many requests are queued for credits.
+func (c *Credits) Waiting() int { return len(c.queue) }
+
 // Capacity reports the pool size.
 func (c *Credits) Capacity() int64 { return c.cap }

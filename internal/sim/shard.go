@@ -37,12 +37,14 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
 	"runtime/pprof"
-	"sort"
+	"slices"
 	"strconv"
+	"sync"
 	"time"
 )
 
@@ -79,6 +81,11 @@ type Kernel struct {
 	// ticks are the registered barrier ticks (Every), the hook shard-aware
 	// observers hang off.
 	ticks []*ktick
+
+	// barrierFns run once at the next window barrier (AtBarrier); lane
+	// workers append under barrierMu.
+	barrierMu  sync.Mutex
+	barrierFns []func()
 
 	// Windows counts synchronization windows executed, for diagnostics.
 	Windows uint64
@@ -148,6 +155,26 @@ func (k *Kernel) fireTicks(m Time) {
 	}
 }
 
+// AtBarrier queues fn to run once on the coordinator at the barrier that
+// closes the current window (before the next window's drain), when every
+// lane is joined and its state readable. Safe to call from lane event
+// handlers; like a tick, fn must not schedule lane events or post mail.
+func (k *Kernel) AtBarrier(fn func()) {
+	k.barrierMu.Lock()
+	k.barrierFns = append(k.barrierFns, fn)
+	k.barrierMu.Unlock()
+}
+
+// runBarrierFns runs the queued AtBarrier callbacks in queue order. Lane
+// workers are joined, so callers test the length without the lock.
+func (k *Kernel) runBarrierFns() {
+	fns := k.barrierFns
+	k.barrierFns = nil
+	for _, fn := range fns {
+		fn()
+	}
+}
+
 // NewKernel returns a kernel with the given number of lanes. lookahead is
 // the conservative synchronization bound: the minimum virtual-time distance
 // of any cross-node handoff, as registered by the fabric model. It must be
@@ -195,7 +222,9 @@ func (k *Kernel) Post(src, dst int, at Time, srcNode int32, srcSeq uint64, fn fu
 }
 
 // drain applies all pending mailbox posts to their destination lanes in
-// the deterministic (time, source node, source sequence) order.
+// the deterministic (time, source node, source sequence) order. The keys
+// are unique (a node's sequence never repeats), so any sort yields the same
+// order; a steady-state drain allocates nothing.
 func (k *Kernel) drain() int {
 	k.batch = k.batch[:0]
 	for i := range k.outbox {
@@ -205,26 +234,30 @@ func (k *Kernel) drain() int {
 		k.batch = append(k.batch, k.outbox[i]...)
 		// Clear the closure slots so drained posts are released, keeping
 		// the backing array pooled for the next window.
-		for j := range k.outbox[i] {
-			k.outbox[i][j] = post{}
-		}
+		clear(k.outbox[i])
 		k.outbox[i] = k.outbox[i][:0]
 	}
 	b := k.batch
-	sort.Slice(b, func(i, j int) bool {
-		if b[i].at != b[j].at {
-			return b[i].at < b[j].at
-		}
-		if b[i].srcNode != b[j].srcNode {
-			return b[i].srcNode < b[j].srcNode
-		}
-		return b[i].srcSeq < b[j].srcSeq
-	})
+	if len(b) == 0 {
+		return 0
+	}
+	slices.SortFunc(b, comparePosts)
 	for i := range b {
 		k.lanes[b[i].dst].At(b[i].at, b[i].fn)
 		b[i].fn = nil
 	}
 	return len(b)
+}
+
+// comparePosts orders mailbox posts by (time, source node, source sequence).
+func comparePosts(a, b post) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.srcNode, b.srcNode); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.srcSeq, b.srcSeq)
 }
 
 // Run executes the sharded simulation to completion: windows advance until
@@ -264,8 +297,8 @@ func (k *Kernel) Run() {
 //
 // Unlike Run, barrier ticks due at or before t fire even when the lanes are
 // already quiescent (events exhausted): a periodic monitor registered with
-// Every keeps observing under a RunUntil-driven loop exactly as a classic
-// Sim's self-rescheduling monitor does, without keeping the machine alive.
+// Every keeps observing under a RunUntil-driven loop exactly as a
+// self-rescheduling Sim event would, without keeping the machine alive.
 // Processes still blocked past the horizon are legal here — only Run's
 // final quiescence performs the deadlock check.
 func (k *Kernel) RunUntil(t Time) {
@@ -358,6 +391,9 @@ func (k *Kernel) windowLoop(limit Time) {
 		mark = time.Now()
 	}
 	for {
+		if len(k.barrierFns) > 0 {
+			k.runBarrierFns()
+		}
 		k.drain()
 		m := Never
 		any := false

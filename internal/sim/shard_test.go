@@ -238,3 +238,61 @@ func TestKernelWindowCountInvariance(t *testing.T) {
 		}
 	}
 }
+
+// TestKernelSteadyStateWindowsAllocateNothing: once the mailboxes, the
+// drain batch and the lane heaps have grown, a window — drain, sort, apply,
+// run — allocates nothing. Two simulated nodes share one lane and bounce a
+// pre-bound handler through the mailbox, one post per window.
+func TestKernelSteadyStateWindowsAllocateNothing(t *testing.T) {
+	k := NewKernel(1, 100)
+	var seq [2]uint64
+	var hop [2]func()
+	remaining := 0
+	for n := range hop {
+		n := n
+		hop[n] = func() {
+			if remaining == 0 {
+				return
+			}
+			remaining--
+			seq[n]++
+			k.Post(0, 0, k.Lane(0).Now()+150, int32(n), seq[n], hop[1-n])
+		}
+	}
+	run := func() {
+		remaining = 64
+		k.Lane(0).At(k.Lane(0).Now()+1, hop[0])
+		k.windowLoop(Never)
+	}
+	run() // grow the mailbox, batch and heap backing arrays
+	w0 := k.Windows
+	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+		t.Errorf("%.1f allocations per %d windows, want 0", allocs, (k.Windows-w0)/11)
+	}
+}
+
+// TestKernelAtBarrierFromLanes: callbacks queued by several lanes in one
+// window all run once, on the coordinator, after every lane has finished
+// that window and before the next one starts.
+func TestKernelAtBarrierFromLanes(t *testing.T) {
+	const shards = 4
+	k := NewKernel(shards, 100)
+	ran := 0
+	for i := 0; i < shards; i++ {
+		k.Lane(i).At(10, func() {
+			k.AtBarrier(func() {
+				for j := 0; j < shards; j++ {
+					if now := k.Lane(j).Now(); now != 109 {
+						t.Errorf("lane %d at %v during the barrier, want the window horizon 109", j, now)
+					}
+				}
+				ran++
+			})
+		})
+		k.Lane(i).At(500, func() {})
+	}
+	k.Run()
+	if ran != shards {
+		t.Errorf("%d barrier callbacks ran, want %d", ran, shards)
+	}
+}
