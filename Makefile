@@ -36,11 +36,11 @@ check-fast:
 # standard workloads at shards 1 and 4, ledger-balanced and byte-identical
 # across shard counts; failures auto-bisect to a minimal schedule under
 # soak_artifacts/. Trend history accumulates in SOAK_trend.json next to
-# BENCH_substrate.json, and each arm drops a host-execution profile
-# (render with p3stat) under soak_artifacts/. soak-short is the ~1 minute
-# CI gate.
+# BENCH_substrate.json, and each arm drops its counter table and
+# host-execution profile under soak_artifacts/ (render the directory with
+# p3stat). soak-short is the ~1 minute CI gate.
 soak:
-	go run ./cmd/soak -seeds 5 -hostprof -out SOAK_trend.json
+	go run ./cmd/soak -seeds 5 -out SOAK_trend.json
 
 soak-short:
-	go run ./cmd/soak -short -hostprof -out SOAK_trend.json
+	go run ./cmd/soak -short -out SOAK_trend.json

@@ -1,6 +1,6 @@
-// Command p3dump renders flight-recorder dump files (written by
-// cmd/netpipe -flightrec, or by the machine on panic/stall/ledger
-// failures) as human-readable reports.
+// Command p3dump renders flight-recorder dump files (the .p3dump files of
+// a cmd/netpipe -obs bundle or of soak's failure artifacts) as
+// human-readable reports.
 //
 //	p3dump crash.p3dump                 # occupancy table + merged timeline
 //	p3dump -spans crash.p3dump          # list causal span ids present

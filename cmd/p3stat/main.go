@@ -1,74 +1,114 @@
-// Command p3stat renders saved observability artifacts: telemetry JSON
-// exports (cmd/netpipe -telemetry), host-execution profiles (cmd/netpipe
-// -hostprof), and chrome-trace timelines (cmd/netpipe -trace), as aligned
-// text tables — the offline half of the machine's RAS view.
+// Command p3stat renders saved observability artifacts — a whole run
+// bundle (cmd/netpipe -obs DIR, soak's artifact directory) or single files
+// from one — as aligned text tables: the offline half of the machine's RAS
+// view.
 //
-//	p3stat run.json                # metrics, latency breakdown, series
-//	p3stat out.hostprof.json       # host-execution (lane busy/wait/drain) table
-//	p3stat -trace timeline.json    # per-track / per-handler summary
+//	p3stat DIR                     # every known artifact in the bundle
+//	p3stat DIR/telemetry.json      # metrics, latency breakdown, series
+//	p3stat DIR/hostprof.json       # host-execution (lane busy/wait/drain) table
+//	p3stat DIR/trace.json          # per-track / per-handler trace summary
 //
-// Host profiles are recognized by their "kind": "host_profile" field; any
-// other JSON document renders as telemetry.
+// A directory renders its stats.txt counter tables, JSON artifacts and
+// flight-recorder dump headers, subdirectories (sweep arms) included, in
+// name order. A JSON file is routed by its content: a top-level array is
+// a chrome-trace timeline, a "kind": "host_profile" document a host
+// profile, and any other document a telemetry export.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 
+	"portals3/internal/flightrec"
 	"portals3/internal/machine"
 	"portals3/internal/telemetry"
 	"portals3/internal/trace"
 )
 
 func main() {
-	traceIn := flag.String("trace", "", "summarize a chrome-trace timeline instead of telemetry JSON")
 	top := flag.Int("top", 16, "rows shown per table section; 0 shows everything")
 	flag.Parse()
-
-	switch {
-	case *traceIn != "":
-		if err := summarizeTrace(*traceIn); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	case flag.NArg() > 0:
-		for _, path := range flag.Args() {
-			if err := renderFile(path, *top); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-	default:
+	if flag.NArg() == 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
+	for _, path := range flag.Args() {
+		if err := renderPath(path, *top); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+	}
 }
 
-func summarizeTrace(path string) error {
-	f, err := os.Open(path)
+// renderPath renders one artifact file, or every known artifact under a
+// bundle directory, separated by blank lines.
+func renderPath(path string, top int) error {
+	st, err := os.Stat(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	recs, err := trace.ReadChrome(f)
-	if err != nil {
-		return fmt.Errorf("%s: %v", path, err)
+	if !st.IsDir() {
+		return renderFile(path, top)
 	}
-	telemetry.Summarize(recs).Render(os.Stdout)
-	return nil
+	n := 0
+	err = filepath.WalkDir(path, func(p string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !known(d.Name()) {
+			return err
+		}
+		if n++; n > 1 {
+			fmt.Println()
+		}
+		return renderFile(p, top)
+	})
+	if err == nil && n == 0 {
+		return fmt.Errorf("%s: no run-bundle artifacts", path)
+	}
+	return err
 }
 
-// renderFile routes one artifact by its JSON kind discriminator: a
-// host-execution profile renders as the lane table, anything else as a
-// telemetry export.
+// known reports whether a bundle file name is one p3stat renders: the
+// counter table, the JSON artifacts and the flight-recorder dumps, with or
+// without soak's campaign prefix.
+func known(name string) bool {
+	return strings.HasSuffix(name, "stats.txt") || strings.HasSuffix(name, ".json") ||
+		strings.HasSuffix(name, ".p3dump")
+}
+
+// renderFile renders one artifact, routed by name for the counter table
+// and dumps and by content for JSON.
 func renderFile(path string, top int) error {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return err
+	}
+	switch {
+	case strings.HasSuffix(path, ".txt"):
+		fmt.Printf("# %s  counters\n%s", path, b)
+		return nil
+	case strings.HasSuffix(path, ".p3dump"):
+		d, err := flightrec.Decode(bytes.NewReader(b))
+		if err != nil {
+			return fmt.Errorf("%s: %v", path, err)
+		}
+		fmt.Printf("# %s  flight-recorder dump: %s at %v (trigger %s), %d nodes; render with p3dump\n",
+			path, d.Reason, d.At, d.Trigger, len(d.Nodes))
+		return nil
+	}
+	if t := bytes.TrimLeft(b, " \t\r\n"); len(t) > 0 && t[0] == '[' {
+		recs, err := trace.ReadChrome(bytes.NewReader(b))
+		if err != nil {
+			return fmt.Errorf("%s: %v", path, err)
+		}
+		fmt.Printf("# %s  trace timeline (%d records)\n", path, len(recs))
+		telemetry.Summarize(recs).Render(os.Stdout)
+		return nil
 	}
 	var kind struct {
 		Kind string `json:"kind"`
@@ -81,7 +121,7 @@ func renderFile(path string, top int) error {
 		renderHostProfile(&hp, path, top)
 		return nil
 	}
-	e, err := telemetry.ReadJSON(strings.NewReader(string(b)))
+	e, err := telemetry.ReadJSON(bytes.NewReader(b))
 	if err != nil {
 		return fmt.Errorf("%s: %v", path, err)
 	}

@@ -14,7 +14,10 @@
 // A failing campaign is auto-bisected to a minimal still-failing schedule
 // (ddmin over the schedule entries, memoized), re-verified standalone, and
 // rendered as a ready-to-paste repro command; flight-recorder dumps and
-// the minimal schedule are written under -artifacts.
+// the minimal schedule are written under -artifacts. Every arm also
+// writes its counter table and host-execution profile there
+// (WORKLOAD-seedN-shardsM.stats.txt and .hostprof.json; render with
+// p3stat).
 //
 // Replay mode runs one explicit schedule — the bisector's output:
 //
@@ -30,7 +33,7 @@ import (
 	"strconv"
 	"strings"
 
-	"portals3/internal/machine"
+	"portals3/internal/experiments"
 	"portals3/internal/model"
 	"portals3/internal/sim"
 	"portals3/internal/soak"
@@ -92,9 +95,8 @@ func main() {
 	plant := flag.Bool("plant", false, "plant a ledger corruption in every campaign — the failure-detection self-check; campaigns must FAIL and bisect to the planted entry")
 	bisect := flag.Bool("bisect", true, "auto-bisect failing campaigns to a minimal schedule")
 	out := flag.String("out", "", "append the run's campaign records to this trend JSON file")
-	artifacts := flag.String("artifacts", "soak_artifacts", "directory for failure artifacts (p3dump files, minimal schedules)")
+	artifacts := flag.String("artifacts", "soak_artifacts", "directory for run artifacts: each arm's counter table and host profile, failure dumps, minimal schedules")
 	progress := flag.Bool("progress", false, "print live host-execution progress lines to stderr during long campaigns")
-	hostprof := flag.Bool("hostprof", false, "write each arm's host-execution profile JSON under -artifacts (render with p3stat)")
 	flag.Parse()
 
 	shardCounts, err := parseShards(*shardsFlag)
@@ -122,11 +124,8 @@ func main() {
 		}
 		r := soak.Run(c)
 		fmt.Print(r.Summary())
-		if *hostprof {
-			writeHostProfile(*artifacts, fmt.Sprintf("%s-replay-shards%d", c.Workload, c.Shards), r.HostProfile)
-		}
+		writeBundle(*artifacts, fmt.Sprintf("%s-replay-shards%d", c.Workload, c.Shards), r.Bundle)
 		if r.Failed() {
-			writeDumps(*artifacts, fmt.Sprintf("%s-replay", c.Workload), r.Dumps)
 			os.Exit(1)
 		}
 		return
@@ -154,7 +153,7 @@ func main() {
 			if *progress {
 				c.Progress = printProgress
 			}
-			ok, rec := runArms(c, shardCounts, *bisect, *artifacts, *hostprof)
+			ok, rec := runArms(c, shardCounts, *bisect, *artifacts)
 			records = append(records, rec)
 			if !ok {
 				failed = true
@@ -175,10 +174,12 @@ func main() {
 }
 
 // runArms runs one (workload, seed) campaign at every shard count,
-// requires byte-identical summaries across arms, and triages any failure.
+// requires byte-identical summaries across arms, writes each arm's bundle
+// (counter table and host profile) under artifacts, and triages any
+// failure.
 // The trend record's host-side columns aggregate across arms: wall-clock
 // sums (total soak time for the campaign), peak heap takes the max.
-func runArms(c soak.Campaign, shardCounts []int, bisect bool, artifacts string, hostprof bool) (bool, trendRecord) {
+func runArms(c soak.Campaign, shardCounts []int, bisect bool, artifacts string) (bool, trendRecord) {
 	var ref *soak.Result
 	var refSummary string
 	ok := true
@@ -192,9 +193,6 @@ func runArms(c soak.Campaign, shardCounts []int, bisect bool, artifacts string, 
 		if r.PeakHeapBytes > peakHeap {
 			peakHeap = r.PeakHeapBytes
 		}
-		if hostprof {
-			writeHostProfile(artifacts, fmt.Sprintf("%s-seed%d-shards%d", c.Workload, c.Seed, n), r.HostProfile)
-		}
 		fmt.Printf("campaign %s seed=%d shards=%d: ", c.Workload, c.Seed, n)
 		if r.Failed() {
 			fmt.Printf("FAIL (%d invariant violations)\n", len(r.Errors))
@@ -202,6 +200,7 @@ func runArms(c soak.Campaign, shardCounts []int, bisect bool, artifacts string, 
 		} else {
 			fmt.Printf("pass (finish=%dus injected=%d)\n", r.FinishPs/1e6, r.Ledger.Injected())
 		}
+		writeBundle(artifacts, fmt.Sprintf("%s-seed%d-shards%d", c.Workload, c.Seed, n), r.Bundle)
 		if ref == nil {
 			ref, refSummary = &r, r.Summary()
 		} else if got := r.Summary(); got != refSummary {
@@ -263,73 +262,23 @@ func triage(c soak.Campaign, shards int, artifacts string) {
 	} else {
 		fmt.Printf("minimal schedule written to %s\n", schedPath)
 	}
-	writeDumps(artifacts, base, out.Result.Dumps)
+	writeBundle(artifacts, base, out.Result.Bundle)
 }
 
-// printProgress renders one live host-execution snapshot on stderr,
-// mirroring netpipe's -progress line.
-func printProgress(hp sim.HostProgress) {
-	eta := "?"
-	if hp.ETANs >= 0 {
-		eta = fmt.Sprintf("%.1fs", float64(hp.ETANs)/1e9)
-	}
-	fmt.Fprintf(os.Stderr,
-		"progress: t=%.1fus wall=%.1fs rate=%.1fus/s events=%d (%.0f/s) windows=%d imb=%.1f%% heap=%.1fMB eta=%s\n",
-		float64(hp.SimNow)/1e6, float64(hp.WallNs)/1e9, hp.SimRate,
-		hp.Events, hp.EventRate, hp.Windows, hp.ImbalancePct,
-		float64(hp.HeapInuse)/(1<<20), eta)
-}
+// printProgress renders one live host-execution snapshot on stderr.
+func printProgress(hp sim.HostProgress) { fmt.Fprintln(os.Stderr, "progress:", hp) }
 
-// writeHostProfile saves one arm's host-execution profile under the
-// artifacts directory.
-func writeHostProfile(artifacts, base string, hp *machine.HostProfile) {
-	if hp == nil {
-		return
-	}
-	if err := os.MkdirAll(artifacts, 0o755); err != nil {
-		fmt.Fprintf(os.Stderr, "soak: %v\n", err)
-		return
-	}
-	b, err := hp.JSON()
-	if err == nil {
-		path := filepath.Join(artifacts, base+".hostprof.json")
-		if err = os.WriteFile(path, b, 0o644); err == nil {
-			fmt.Printf("host profile written to %s (render with p3stat)\n", path)
-		}
-	}
+// writeBundle lays one run's artifacts out under the artifacts directory,
+// every file name prefixed with base: base.stats.txt, base.hostprof.json,
+// and with the flight recorder on base.run.p3dump plus one dump per
+// failure report.
+func writeBundle(artifacts, base string, b experiments.Bundle) {
+	paths, err := b.Write(artifacts, base+".")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "soak: %v\n", err)
 	}
-}
-
-// writeDumps saves every flight-recorder artifact of a failing run.
-func writeDumps(artifacts, base string, dumps map[string][]byte) {
-	if len(dumps) == 0 {
-		return
-	}
-	if err := os.MkdirAll(artifacts, 0o755); err != nil {
-		fmt.Fprintf(os.Stderr, "soak: %v\n", err)
-		return
-	}
-	names := make([]string, 0, len(dumps))
-	for name := range dumps {
-		names = append(names, name)
-	}
-	// Deterministic artifact order.
-	for i := 0; i < len(names); i++ {
-		for j := i + 1; j < len(names); j++ {
-			if names[j] < names[i] {
-				names[i], names[j] = names[j], names[i]
-			}
-		}
-	}
-	for _, name := range names {
-		path := filepath.Join(artifacts, fmt.Sprintf("%s.%s.p3dump", base, name))
-		if err := os.WriteFile(path, dumps[name], 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "soak: %v\n", err)
-			continue
-		}
-		fmt.Printf("dump written to %s (render with p3dump)\n", path)
+	if len(paths) > 0 {
+		fmt.Printf("%d artifacts written to %s/%s.* (render with p3stat, dumps with p3dump)\n", len(paths), artifacts, base)
 	}
 }
 

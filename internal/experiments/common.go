@@ -1,13 +1,13 @@
 // Shared scaffolding for the machine-scale torus workloads: every workload
 // (halo exchange, collective trees, synthetic traffic) builds the same
 // sharded torus machine from its TorusConfig, starts the same periodic
-// observers, and harvests the same digest artifacts. Keeping the scaffold
-// in one place is what makes the per-workload differential tests — the
-// bit-identity claim of DESIGN.md §11 — compare like with like.
+// observers, and harvests the same digest artifacts through Collect.
+// Keeping the scaffold in one place is what makes the per-workload
+// differential tests — the bit-identity claim of DESIGN.md §11 — compare
+// like with like.
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 
 	"portals3/internal/machine"
@@ -72,31 +72,14 @@ func startObservers(m *machine.Machine, cfg TorusConfig) *machine.RAS {
 	return nil
 }
 
-// harvest collects the post-run artifacts every workload digest carries:
-// finish time, window count, counter table, telemetry/dump/trace bytes,
-// the fault ledger, failure reports and RAS verdicts.
+// harvest fills the post-run fields every workload digest carries: finish
+// time, window count, the run's bundle, the fault ledger, failure reports
+// and RAS verdicts.
 func harvest(m *machine.Machine, cfg TorusConfig, ras *machine.RAS, res *TorusResult) {
 	res.Shards = cfg.Shards
 	res.FinishPs = int64(m.S.Now())
 	res.Windows = m.ShardKernel().Windows
-	res.StatsText = m.Stats().String()
-	if cfg.Telemetry {
-		var tb bytes.Buffer
-		if err := m.Telemetry().WriteJSON(&tb, m.S.Now()); err != nil {
-			panic(err)
-		}
-		res.TelemetryJSON = tb.Bytes()
-	}
-	if cfg.FlightRec {
-		res.DumpBytes = m.TakeDump("end of run").Bytes()
-	}
-	if cfg.Trace {
-		var trb bytes.Buffer
-		if err := m.Trace().WriteChrome(&trb); err != nil {
-			panic(err)
-		}
-		res.TraceBytes = trb.Bytes()
-	}
+	res.Bundle = Collect(m)
 	if st, ok := m.FaultSnapshot(); ok {
 		res.FaultsLine = st.String()
 		res.FaultStats = st
@@ -108,9 +91,6 @@ func harvest(m *machine.Machine, cfg TorusConfig, ras *machine.RAS, res *TorusRe
 		for _, f := range ras.Dead() {
 			res.Errors = append(res.Errors, "ras: "+f.String())
 		}
-	}
-	if cfg.HostProf || cfg.Progress != nil {
-		res.HostProfile = m.HostProfile()
 	}
 }
 

@@ -86,11 +86,7 @@ type TorusResult struct {
 	FinishPs int64  // virtual completion time
 	Windows  uint64 // kernel synchronization windows executed
 
-	StatsText     string // machine counter table
-	TelemetryJSON []byte // merged telemetry snapshot (Telemetry on)
-	DumpBytes     []byte // end-of-run flight-recorder dump (FlightRec on)
-	TraceBytes    []byte // merged Chrome trace (Trace on)
-	FaultsLine    string // summed fault-ledger counters (faults configured)
+	FaultsLine string // summed fault-ledger counters (faults configured)
 
 	// FaultStats is the numeric fault-ledger snapshot behind FaultsLine,
 	// for callers (the soak driver) that audit the counters directly.
@@ -99,10 +95,12 @@ type TorusResult struct {
 	// Errors lists halo verification failures; empty on a correct run.
 	Errors []string
 
-	// HostProfile is the host-execution profile (HostProf on). Wall-clock
-	// is nondeterministic, so Digest deliberately never reads this field —
-	// TestTorusDifferentialHostProfiler enforces that exclusion.
-	HostProfile *machine.HostProfile
+	// Bundle holds the run's artifacts: the counter table, and the
+	// telemetry, dump, trace and host profile of whichever observers the
+	// config armed. Digest reads every deterministic one of them and never
+	// the host profile — TestTorusDifferentialHostProfiler enforces that
+	// exclusion.
+	Bundle
 }
 
 // Digest concatenates every simulated artifact of the run — everything

@@ -1,6 +1,6 @@
 // Host-execution profiling on a machine: the machine-level surface over
 // the kernel profiler (sim/hostprof.go). A HostProfile is the
-// JSON-exportable artifact netpipe writes with -hostprof and p3stat
+// JSON-exportable artifact a run bundle carries as hostprof.json and p3stat
 // renders as the host-execution table. It measures the host running the
 // simulation — wall-clock, lane skew, heap watermarks — so it is
 // nondeterministic by nature and is deliberately excluded from every

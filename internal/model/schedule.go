@@ -140,16 +140,18 @@ func (s FaultSchedule) End() sim.Time {
 	return end
 }
 
-// MaxDur returns the longest blackout window in the schedule, for sizing
-// stall-detector windows above it.
-func (s FaultSchedule) MaxDur() sim.Time {
+// StallWindow sizes a stall detector safely above every blackout in the
+// schedule: twice the longest window plus 1.5 ms. A detector window
+// shorter than a scheduled outage would report the fault plan itself as a
+// hang. An empty schedule gets the bare 1.5 ms.
+func (s FaultSchedule) StallWindow() sim.Time {
 	var d sim.Time
 	for _, e := range s {
 		if e.Dur > d {
 			d = e.Dur
 		}
 	}
-	return d
+	return 2*d + 1500*sim.Microsecond
 }
 
 // Validate checks every entry against a topology: node ids in range,

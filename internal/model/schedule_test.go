@@ -130,8 +130,8 @@ func TestScheduleRulesAndTimed(t *testing.T) {
 	if s.End() != 1050*sim.Microsecond {
 		t.Errorf("End() = %v, want 1.05ms", s.End())
 	}
-	if s.MaxDur() != 120*sim.Microsecond {
-		t.Errorf("MaxDur() = %v, want 120us", s.MaxDur())
+	if s.StallWindow() != 1740*sim.Microsecond {
+		t.Errorf("StallWindow() = %v, want 2x120us + 1.5ms", s.StallWindow())
 	}
 }
 

@@ -31,6 +31,7 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
 	"time"
 )
@@ -98,6 +99,37 @@ type HostProgress struct {
 	// Horizon at the last interval's rate; negative when no horizon is
 	// active or the rate is zero.
 	ETANs int64
+}
+
+// String renders the snapshot as one progress line: virtual time (and
+// the RunUntil target when one is active), wall-clock, virtual-time and
+// event rates, windows, lane imbalance, heap and ETA.
+func (hp HostProgress) String() string {
+	eta := "?"
+	if hp.ETANs >= 0 {
+		eta = fmtWall(hp.ETANs)
+	}
+	target := ""
+	if hp.Horizon > 0 && hp.Horizon != Never {
+		target = fmt.Sprintf("/%.1fus", float64(hp.Horizon)/1e6)
+	}
+	return fmt.Sprintf("t=%.1fus%s wall=%s rate=%.1fus/s events=%d (%.0f/s) windows=%d imb=%.1f%% heap=%.1fMB eta=%s",
+		float64(hp.SimNow)/1e6, target, fmtWall(hp.WallNs), hp.SimRate,
+		hp.Events, hp.EventRate, hp.Windows, hp.ImbalancePct,
+		float64(hp.HeapInuse)/(1<<20), eta)
+}
+
+// fmtWall renders wall-clock nanoseconds compactly (1m05s, 1.2s, 340ms).
+func fmtWall(ns int64) string {
+	d := time.Duration(ns)
+	switch {
+	case d >= time.Minute:
+		return fmt.Sprintf("%dm%02ds", int(d.Minutes()), int(d.Seconds())%60)
+	case d >= time.Second:
+		return fmt.Sprintf("%.1fs", d.Seconds())
+	default:
+		return fmt.Sprintf("%dms", d.Milliseconds())
+	}
 }
 
 // hostProf is the kernel's live profiler state. All fields are owned by

@@ -217,3 +217,23 @@ func TestKernelInlineProfileAccounting(t *testing.T) {
 		}
 	}
 }
+
+// TestHostProgressString pins the progress line both drivers print: the
+// RunUntil target appears only while one is active, and an unknown ETA
+// renders as "?".
+func TestHostProgressString(t *testing.T) {
+	hp := HostProgress{
+		SimNow: 1500 * Microsecond, Horizon: 4 * Millisecond,
+		WallNs: int64(65 * time.Second), Windows: 7, Events: 300,
+		SimRate: 12.5, EventRate: 40, ImbalancePct: 3.25, HeapInuse: 3 << 20,
+		ETANs: int64(340 * time.Millisecond),
+	}
+	want := "t=1500.0us/4000.0us wall=1m05s rate=12.5us/s events=300 (40/s) windows=7 imb=3.2% heap=3.0MB eta=340ms"
+	if got := hp.String(); got != want {
+		t.Errorf("got  %q\nwant %q", got, want)
+	}
+	hp.Horizon, hp.ETANs, hp.WallNs = 0, -1, int64(1500*time.Millisecond)
+	if got := hp.String(); !strings.Contains(got, "t=1500.0us wall=1.5s") || !strings.HasSuffix(got, "eta=?") {
+		t.Errorf("no-horizon line: %q", got)
+	}
+}

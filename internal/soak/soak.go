@@ -102,17 +102,17 @@ type Result struct {
 	// Errors lists every violated invariant; empty on a passing run.
 	Errors []string
 
-	// Dumps holds flight-recorder artifacts (FlightRec on): "end-of-run"
-	// plus one entry per failure report that carried a detection dump.
-	Dumps map[string][]byte
+	// Bundle holds the run's artifacts: the counter table and host
+	// profile always, and with FlightRec on the end-of-run dump plus one
+	// per failure report that carried a detection dump.
+	experiments.Bundle
 
-	// Host-execution measurements. Wall-clock and heap are host-side and
-	// nondeterministic, so Summary deliberately never reads them — they
-	// feed the trend JSON (soak-time regression tracking), not the
-	// shard-invariance comparison.
+	// Host-execution measurements. Wall-clock, heap and the host profile
+	// are host-side and nondeterministic, so Summary deliberately never
+	// reads them — they feed the trend JSON (soak-time regression
+	// tracking), not the shard-invariance comparison.
 	WallNs        int64
 	PeakHeapBytes uint64
-	HostProfile   *machine.HostProfile
 }
 
 // Failed reports whether any soak invariant was violated.
@@ -229,13 +229,6 @@ func Run(c Campaign) Result {
 	return res
 }
 
-// stallWindow sizes the stall detector safely above every scheduled
-// blackout: a window shorter than a scheduled outage would report the
-// fault plan itself as a hang.
-func stallWindow(sched model.FaultSchedule) sim.Time {
-	return 2*sched.MaxDur() + 1500*sim.Microsecond
-}
-
 // audit applies the machine-level soak invariants to a finished run.
 func audit(m *machine.Machine, res *Result) {
 	res.FinishPs = int64(m.S.Now())
@@ -247,19 +240,8 @@ func audit(m *machine.Machine, res *Result) {
 	}
 	for _, r := range m.Reports() {
 		res.Errors = append(res.Errors, "failure report: "+r.String())
-		if r.Dump != nil {
-			if res.Dumps == nil {
-				res.Dumps = make(map[string][]byte)
-			}
-			res.Dumps[fmt.Sprintf("report-%d-%s", len(res.Dumps), r.Kind)] = r.Dump.Bytes()
-		}
 	}
-	if m.FlightRecorder() != nil {
-		if res.Dumps == nil {
-			res.Dumps = make(map[string][]byte)
-		}
-		res.Dumps["end-of-run"] = m.TakeDump("end of soak campaign").Bytes()
-	}
+	res.Bundle = experiments.Collect(m)
 }
 
 // runTorus drives the halo-exchange workload through the experiments
@@ -271,18 +253,18 @@ func runTorus(c Campaign, sched model.FaultSchedule, res *Result) {
 		GoBackN:     true,
 		Schedule:    sched,
 		FlightRec:   c.FlightRec,
-		StallWindow: stallWindow(sched),
+		StallWindow: sched.StallWindow(),
 		HostProf:    true,
 		Progress:    c.Progress,
 	}
 	r := experiments.TorusHalo(cfg)
-	absorb(res, &r, r.Nodes*6*cfg.Steps, c.FlightRec)
+	absorb(res, &r, r.Nodes*6*cfg.Steps)
 }
 
 // absorb copies an experiments-run outcome into the campaign result and
 // applies the ledger invariant — the shared tail of every torus workload,
 // which runs its own machine inside the experiments package.
-func absorb(res *Result, r *experiments.TorusResult, msgs int, flightRec bool) {
+func absorb(res *Result, r *experiments.TorusResult, msgs int) {
 	res.FinishPs = r.FinishPs
 	res.Msgs = msgs
 	res.Ledger = r.FaultStats
@@ -290,10 +272,7 @@ func absorb(res *Result, r *experiments.TorusResult, msgs int, flightRec bool) {
 		res.Errors = append(res.Errors, fmt.Sprintf("ledger imbalance: %d fault(s) neither recovered nor condemned", r.FaultStats.Open()))
 	}
 	res.Errors = append(res.Errors, r.Errors...)
-	if flightRec && len(r.DumpBytes) > 0 {
-		res.Dumps = map[string][]byte{"end-of-run": r.DumpBytes}
-	}
-	res.HostProfile = r.HostProfile
+	res.Bundle = r.Bundle
 }
 
 // runCollective drives the MPI allreduce/broadcast-tree workload: every
@@ -306,12 +285,12 @@ func runCollective(c Campaign, sched model.FaultSchedule, res *Result) {
 		GoBackN:     true,
 		Schedule:    sched,
 		FlightRec:   c.FlightRec,
-		StallWindow: stallWindow(sched),
+		StallWindow: sched.StallWindow(),
 		HostProf:    true,
 		Progress:    c.Progress,
 	}
 	r := experiments.TorusCollective(cfg)
-	absorb(res, &r, experiments.CollectiveMsgs(r.Nodes, cfg.Steps), c.FlightRec)
+	absorb(res, &r, experiments.CollectiveMsgs(r.Nodes, cfg.Steps))
 }
 
 // runTraffic drives one traffic generator — uniform-random or the 30%
@@ -325,7 +304,7 @@ func runTraffic(c Campaign, sched model.FaultSchedule, res *Result, hot bool) {
 			GoBackN:     true,
 			Schedule:    sched,
 			FlightRec:   c.FlightRec,
-			StallWindow: stallWindow(sched),
+			StallWindow: sched.StallWindow(),
 			HostProf:    true,
 			Progress:    c.Progress,
 		},
@@ -338,7 +317,7 @@ func runTraffic(c Campaign, sched model.FaultSchedule, res *Result, hot bool) {
 		cfg.HotNode = 13 // center of the 3x3x3 torus
 	}
 	r := experiments.TorusTraffic(cfg)
-	absorb(res, &r, experiments.TrafficMsgs(cfg), c.FlightRec)
+	absorb(res, &r, experiments.TrafficMsgs(cfg))
 }
 
 // runLine drives the two line workloads: incast (senders 1..3 converge on
@@ -482,9 +461,7 @@ func runLine(c Campaign, sched model.FaultSchedule, res *Result, incast bool) {
 			waitSendEnd(app, eq)
 		})
 	}
-	if w := stallWindow(sched); w > 0 {
-		m.StartStallDetector(w)
-	}
+	m.StartStallDetector(sched.StallWindow())
 	m.Run()
 
 	res.Msgs = received
@@ -506,7 +483,6 @@ func runLine(c Campaign, sched model.FaultSchedule, res *Result, incast bool) {
 	}
 	res.Errors = append(res.Errors, mu...)
 	audit(m, res)
-	res.HostProfile = m.HostProfile()
 }
 
 // fillByte is the uniform fill of message seq from sender nid — a pure
