@@ -208,6 +208,8 @@ func main() {
 		panic(err)
 	}
 
+	// Run to a horizon; Close unwinds any process still parked there.
 	m.RunUntil(5 * sim.Millisecond)
 	fmt.Printf("done at %v; service node took %d interrupts\n", m.S.Now(), m.Node(0).Kernel.Interrupts)
+	m.Close()
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -50,6 +51,21 @@ func TestAblationGoBackN(t *testing.T) {
 		if !c.Pass {
 			t.Errorf("%s: %s", c.Name, c.Measured)
 		}
+	}
+}
+
+// TestPanicArmReleasesMachine: the A2 panic arm stops at a horizon with the
+// receiver wedged and processes parked; runIncast closes the machine, so
+// repeating the arm leaves no goroutines behind.
+func TestPanicArmReleasesMachine(t *testing.T) {
+	start := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		if r := runIncast(model.Defaults(), 4, 30, 2048, false); !r.Panicked {
+			t.Fatalf("run %d: panic arm did not panic the receiver", i)
+		}
+	}
+	if n := runtime.NumGoroutine(); n > start {
+		t.Errorf("%d goroutines after 5 panic-arm runs, started with %d", n, start)
 	}
 }
 

@@ -63,6 +63,7 @@ func runIncast(p model.Params, senders, msgsPerSender, msgBytes int, gbn bool) G
 		panic(err)
 	}
 	m := machine.NewSharded(p, tp, 1)
+	defer m.Close() // the panic arm ends at a horizon with processes parked
 	if gbn {
 		m.EnableGoBackN()
 	}

@@ -357,3 +357,7 @@ func (m *Machine) RunUntil(t sim.Time) {
 		m.kern.RunUntil(t)
 	}
 }
+
+// Close unwinds every process still parked (sim.Kernel.Close), releasing a
+// machine abandoned at a RunUntil horizon. It must not run again.
+func (m *Machine) Close() { m.kern.Close() }

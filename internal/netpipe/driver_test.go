@@ -7,6 +7,7 @@ import (
 
 	"portals3/internal/machine"
 	"portals3/internal/model"
+	"portals3/internal/sim"
 )
 
 func TestForEachCoversEveryIndexOnce(t *testing.T) {
@@ -33,6 +34,30 @@ func TestForEachPanicPropagates(t *testing.T) {
 		if i == 3 {
 			panic("boom")
 		}
+	})
+}
+
+// TestForEachRecoversProcessPanic: a panic inside a simulated process on a
+// one-lane machine unwinds to the caller of Run, so it reaches ForEach's
+// recover and the caller, instead of killing the program.
+func TestForEachRecoversProcessPanic(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "boom in process" {
+			t.Errorf("recovered %v, want the process's panic", r)
+		}
+	}()
+	ForEach(2, 2, func(i int) {
+		m := machine.NewPair(model.Defaults())
+		defer m.Close()
+		if _, err := m.Spawn(0, "faulty", machine.Generic, func(app *machine.App) {
+			app.Proc.Sleep(sim.Microsecond)
+			if i == 1 {
+				panic("boom in process")
+			}
+		}); err != nil {
+			t.Error(err)
+		}
+		m.Run()
 	})
 }
 

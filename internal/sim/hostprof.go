@@ -290,8 +290,8 @@ func (p *hostProf) tail(d time.Duration) {
 	p.drainNs += int64(d)
 }
 
-// sampleMem takes one ReadMemStats watermark sample.
-func (p *hostProf) sampleMem() {
+// sampleMem takes one ReadMemStats watermark sample and returns it.
+func (p *hostProf) sampleMem() runtime.MemStats {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	p.memSamples++
@@ -305,6 +305,7 @@ func (p *hostProf) sampleMem() {
 		p.sysHigh = ms.Sys
 	}
 	p.numGC = ms.NumGC
+	return ms
 }
 
 // maybeProgress delivers a progress snapshot when the report period has
@@ -315,20 +316,7 @@ func (p *hostProf) maybeProgress(k *Kernel) {
 	if elapsed < p.every {
 		return
 	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	p.memSamples++
-	if ms.HeapInuse > p.heapInuseHigh {
-		p.heapInuseHigh = ms.HeapInuse
-	}
-	if ms.HeapAlloc > p.heapAllocHigh {
-		p.heapAllocHigh = ms.HeapAlloc
-	}
-	if ms.Sys > p.sysHigh {
-		p.sysHigh = ms.Sys
-	}
-	p.numGC = ms.NumGC
-
+	ms := p.sampleMem()
 	simNow := k.horizon
 	var events uint64
 	for i := range p.lanes {

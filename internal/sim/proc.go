@@ -1,62 +1,86 @@
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import "iter"
 
 // Proc is a coroutine process: model code that needs a thread-like control
 // flow (the NetPIPE driver, an MPI rank, the firmware bring-up sequence)
-// runs as a Proc. Under the hood each Proc is a goroutine, but exactly one
-// goroutine — either the simulator loop or one process — is ever runnable,
-// so execution is strictly sequential and deterministic.
-//
-// A Proc may only interact with the simulator through its own methods
-// (Sleep, Yield, ...) and through Signal.Wait; calling them from any other
-// goroutine corrupts the handshake.
+// runs as a Proc. Each Proc is a standard-library coroutine (iter.Pull):
+// wake switches into it and park switches back to whoever woke it, from
+// whichever goroutine runs the simulator (a lane worker, say), so
+// execution stays strictly sequential and deterministic. A Proc may only
+// touch the simulator from its own body, through its methods and
+// Signal.Wait. A panic in a process body propagates to the caller of Run;
+// Close unwinds processes still parked when a simulator is abandoned.
 type Proc struct {
-	s    *Sim
-	name string
-
-	resume chan struct{} // simulator -> process: you may run
-	parked chan struct{} // process -> simulator: I am blocked again
-	wakeFn func()        // p.wake bound once; Sleep runs hot, a fresh method value per call is measurable
-	dead   bool
+	s      *Sim
+	name   string
+	idx    int // position in s.live; -1 once finished or stopped
+	next   func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
+	wakeFn func() // p.wake bound once; Sleep runs hot, a fresh method value per call is measurable
 }
+
+// stopped is the sentinel panic that unwinds a process stopped by Close.
+type stopped struct{}
 
 // Go spawns fn as a coroutine process starting at the current virtual time.
 // fn begins executing when the start event fires.
 func (s *Sim) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		s:      s,
-		name:   name,
-		resume: make(chan struct{}),
-		parked: make(chan struct{}),
-	}
-	p.wakeFn = p.wake
-	s.procs++
-	go func() {
-		<-p.resume // wait for the start event
+	p := &Proc{s: s, name: name, idx: len(s.live)}
+	s.live = append(s.live, p)
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer func() {
+			s.drop(p)
+			if r := recover(); r != nil && r != (stopped{}) {
+				panic(r)
+			}
+		}()
 		fn(p)
-		p.dead = true
-		p.s.procs--
-		p.parked <- struct{}{}
-	}()
+	})
+	p.wakeFn = p.wake
 	s.After(0, p.wakeFn)
 	return p
 }
 
-// wake transfers control to the process and blocks the simulator until the
-// process parks again (by sleeping, waiting, or finishing).
-func (p *Proc) wake() {
-	if p.dead {
-		panic("sim: waking dead process " + p.name)
+// drop removes p from the live set, moving the last entry into its slot.
+func (s *Sim) drop(p *Proc) {
+	if i, n := p.idx, len(s.live)-1; i >= 0 {
+		last := s.live[n]
+		s.live[i], last.idx = last, i
+		s.live[n], s.live, p.idx = nil, s.live[:n], -1
 	}
-	p.resume <- struct{}{}
-	<-p.parked
 }
 
-// park returns control to the simulator and blocks until woken.
+// Close stops every live process: a parked body unwinds (its defers run)
+// and one never started is discarded, so no goroutine keeps an abandoned
+// simulator reachable. The simulator must not run again.
+func (s *Sim) Close() {
+	for len(s.live) > 0 {
+		p := s.live[len(s.live)-1]
+		s.drop(p)
+		p.stop()
+	}
+}
+
+// wake transfers control to the process and returns when it parks again
+// (by sleeping, waiting, or finishing).
+func (p *Proc) wake() {
+	if p.idx < 0 {
+		panic("sim: waking dead process " + p.name)
+	}
+	p.next()
+}
+
+// park returns control to the waker until the next wake; if Close stops
+// the process meanwhile, it unwinds instead.
 func (p *Proc) park() {
-	p.parked <- struct{}{}
-	<-p.resume
+	if !p.yield(struct{}{}) {
+		panic(stopped{})
+	}
 }
 
 // Name returns the name the process was spawned with.
@@ -77,13 +101,6 @@ func (p *Proc) Sleep(d Time) {
 	p.s.After(d, p.wakeFn)
 	p.park()
 }
-
-// Yield lets every other event scheduled for the current time run, then
-// resumes.
-func (p *Proc) Yield() { p.Sleep(0) }
-
-// String identifies the process in diagnostics.
-func (p *Proc) String() string { return fmt.Sprintf("proc(%s)", p.name) }
 
 // Signal is a broadcast condition variable for coroutine processes and
 // callback waiters. A typical use: a Portals event queue raises its signal
@@ -172,6 +189,3 @@ func (g *Signal) Raise() {
 	g.procsSpare = procs[:0]
 	g.callbksSpare = cbs[:0]
 }
-
-// HasWaiters reports whether any process or callback is currently waiting.
-func (g *Signal) HasWaiters() bool { return len(g.procs) > 0 || len(g.callbks) > 0 }

@@ -262,8 +262,8 @@ func comparePosts(a, b post) int {
 
 // Run executes the sharded simulation to completion: windows advance until
 // every lane is drained and no mail is pending. Like Sim.Run, coroutine
-// processes still blocked at global quiescence are deadlocked and Run
-// panics with a diagnostic.
+// processes still blocked at global quiescence are deadlocked: Run unwinds
+// them (Close) and panics with a diagnostic.
 func (k *Kernel) Run() {
 	hp := k.prof
 	if hp != nil {
@@ -275,7 +275,12 @@ func (k *Kernel) Run() {
 		t0 = time.Now()
 	}
 	k.horizon = -1
-	if p := k.blockedProcs(); p > 0 {
+	p := 0
+	for _, l := range k.lanes {
+		p += len(l.live)
+	}
+	if p > 0 {
+		k.Close()
 		panic(fmt.Sprintf("sim: deadlock: %d process(es) still blocked across %d lanes with no pending events or mail", p, len(k.lanes)))
 	}
 	if hp != nil {
@@ -460,13 +465,11 @@ func (k *Kernel) windowLoop(limit Time) {
 	}
 }
 
-// blockedProcs sums live coroutine processes across lanes at quiescence.
-func (k *Kernel) blockedProcs() int {
-	total := 0
+// Close stops every process on every lane (Sim.Close).
+func (k *Kernel) Close() {
 	for _, l := range k.lanes {
-		total += l.procs
+		l.Close()
 	}
-	return total
 }
 
 // Now returns the kernel's clock: every lane shares the same window

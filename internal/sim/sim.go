@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // event is one scheduled callback. Events are stored inline (by value) in
 // the kernel's queues: pushing one costs no heap allocation and popping one
@@ -49,32 +46,20 @@ type Sim struct {
 	ringLen int
 	seq     uint64
 	stopped bool
-	rng     *rand.Rand
 
 	// Fired counts events executed, for diagnostics and runaway detection.
 	Fired uint64
 	// MaxEvents aborts the run (panic) when exceeded; 0 means no limit.
 	MaxEvents uint64
 
-	procs int // live coroutine processes, for deadlock diagnostics
+	live []*Proc // coroutine processes not yet finished (proc.go)
 }
 
-// New returns a simulator with its clock at zero and a deterministic RNG.
-func New() *Sim {
-	return &Sim{rng: rand.New(rand.NewSource(0x5ea57a7))}
-}
-
-// NewSeeded returns a simulator whose RNG is seeded with seed.
-func NewSeeded(seed int64) *Sim {
-	return &Sim{rng: rand.New(rand.NewSource(seed))}
-}
+// New returns a simulator with its clock at zero.
+func New() *Sim { return &Sim{} }
 
 // Now returns the current virtual time.
 func (s *Sim) Now() Time { return s.now }
-
-// Rand returns the simulator's deterministic random source. Model code must
-// use this generator and no other so runs stay reproducible.
-func (s *Sim) Rand() *rand.Rand { return s.rng }
 
 // ringPush appends an event at the tail of the zero-delay lane.
 func (s *Sim) ringPush(ev event) {
@@ -228,14 +213,15 @@ func (s *Sim) step() bool {
 
 // Run executes events until the queue is empty or Stop is called.
 // If coroutine processes are still alive when the queue drains, they are
-// deadlocked (waiting on a signal nobody will raise); Run panics with a
-// diagnostic rather than silently returning.
+// deadlocked (waiting on a signal nobody will raise); Run unwinds them
+// (Close) and panics with a diagnostic rather than silently returning.
 func (s *Sim) Run() {
 	s.stopped = false
 	for !s.stopped && s.step() {
 	}
-	if !s.stopped && s.procs > 0 {
-		panic(fmt.Sprintf("sim: deadlock: %d process(es) still blocked with no pending events at %v", s.procs, s.now))
+	if p := len(s.live); !s.stopped && p > 0 {
+		s.Close()
+		panic(fmt.Sprintf("sim: deadlock: %d process(es) still blocked with no pending events at %v", p, s.now))
 	}
 }
 

@@ -5,8 +5,9 @@
 // systems and the benchmark processes all advance a single virtual clock by
 // scheduling events on one heap. Determinism is a hard requirement — the
 // same program must produce bit-identical virtual-time results on every run
-// — so ties are broken by insertion order and the only randomness available
-// is the seeded generator owned by the simulator.
+// — so ties are broken by insertion order, and the kernel itself draws no
+// random numbers: models that need them (fault planes, link retries) carry
+// their own seeded generators.
 package sim
 
 import "fmt"
