@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"portals3/internal/pool"
 	"portals3/internal/sim"
 	"portals3/internal/trace"
 	"portals3/internal/wire"
@@ -84,10 +85,10 @@ type Lib struct {
 	// ReplySent); send requests when transmission completes (SendDone) or
 	// when the driver hands one back (FreeSendReq). Dropped operations are
 	// simply left to the garbage collector.
-	opFree  []*RxOp
-	reqFree []*SendReq
-	meFree  []*me
-	mdFree  []*md
+	opPool  pool.Pool[RxOp]
+	reqPool pool.Pool[SendReq]
+	mePool  pool.Pool[me]
+	mdPool  pool.Pool[md]
 	// DropCounts tallies drops by reason, for tests and diagnostics.
 	DropCounts [DropCRC + 1]uint64
 }

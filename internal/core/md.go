@@ -57,15 +57,8 @@ func (l *Lib) newMD(d MDesc, unlink Unlink) (*md, error) {
 	if err := l.validateMDesc(&d); err != nil {
 		return nil, err
 	}
-	var m *md
-	if n := len(l.mdFree); n > 0 {
-		m = l.mdFree[n-1]
-		l.mdFree[n-1] = nil
-		l.mdFree = l.mdFree[:n-1]
-		*m = md{desc: d, threshold: d.Threshold, unlink: unlink}
-	} else {
-		m = &md{desc: d, threshold: d.Threshold, unlink: unlink}
-	}
+	m := l.mdPool.Get()
+	*m = md{desc: d, threshold: d.Threshold, unlink: unlink}
 	// A zero threshold means the descriptor starts inactive.
 	m.exhausted = d.Threshold == 0
 	h, err := l.mds.alloc(m)
@@ -135,7 +128,7 @@ func (l *Lib) destroyMD(m *md) {
 		m.me = nil
 	}
 	l.mds.release(uint32(m.handle))
-	l.mdFree = append(l.mdFree, m)
+	l.mdPool.Put(m)
 }
 
 // MDUpdate atomically replaces a descriptor's definition (PtlMDUpdate).

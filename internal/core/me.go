@@ -21,19 +21,13 @@ type me struct {
 	unlinked   bool
 }
 
-// newME takes an entry from the free list, reset and initialized, or
-// allocates one. Entries return to the list in removeME; handles are
-// generation-checked by the slot table, so a recycled entry's old handles
-// resolve to nothing.
+// newME takes an entry from the pool, reset and initialized. Entries return
+// to the pool in removeME; handles are generation-checked by the slot
+// table, so a recycled entry's old handles resolve to nothing.
 func (l *Lib) newME(ptl int, matchID ProcessID, matchBits, ignoreBits uint64, unlink Unlink) *me {
-	if n := len(l.meFree); n > 0 {
-		e := l.meFree[n-1]
-		l.meFree[n-1] = nil
-		l.meFree = l.meFree[:n-1]
-		*e = me{ptl: ptl, matchID: matchID, matchBits: matchBits, ignoreBits: ignoreBits, unlink: unlink}
-		return e
-	}
-	return &me{ptl: ptl, matchID: matchID, matchBits: matchBits, ignoreBits: ignoreBits, unlink: unlink}
+	e := l.mePool.Get()
+	*e = me{ptl: ptl, matchID: matchID, matchBits: matchBits, ignoreBits: ignoreBits, unlink: unlink}
+	return e
 }
 
 // matches implements the Portals matching rule: all header match bits not
@@ -179,7 +173,7 @@ func (l *Lib) removeME(e *me) {
 	e.unlinked = true
 	e.md = nil
 	l.mes.release(uint32(e.handle))
-	l.meFree = append(l.meFree, e)
+	l.mePool.Put(e)
 }
 
 // MEList returns the handles on portal index ptl in match order, a

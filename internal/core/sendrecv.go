@@ -37,36 +37,22 @@ func initiator(h *wire.Header) ProcessID {
 	return ProcessID{Nid: h.SrcNid, Pid: h.SrcPid}
 }
 
-// newRxOp takes a receive operation from the free list, reset and primed
-// with the header, or allocates one.
+// newRxOp takes a receive operation from the pool, reset and primed with
+// the header.
 func (l *Lib) newRxOp(hdr *wire.Header) *RxOp {
-	if n := len(l.opFree); n > 0 {
-		op := l.opFree[n-1]
-		l.opFree[n-1] = nil
-		l.opFree = l.opFree[:n-1]
-		*op = RxOp{Hdr: *hdr, RLen: int(hdr.Length)}
-		return op
-	}
-	return &RxOp{Hdr: *hdr, RLen: int(hdr.Length)}
+	op := l.opPool.Get()
+	*op = RxOp{Hdr: *hdr, RLen: int(hdr.Length)}
+	return op
 }
 
 // freeRxOp recycles an operation after its terminal call. The struct is
 // reset on reuse, not here, so callers may still read fields they extracted.
 func (l *Lib) freeRxOp(op *RxOp) {
-	l.opFree = append(l.opFree, op)
+	l.opPool.Put(op)
 }
 
-// newSendReq takes a zeroed send request from the free list or allocates
-// one.
-func (l *Lib) newSendReq() *SendReq {
-	if n := len(l.reqFree); n > 0 {
-		r := l.reqFree[n-1]
-		l.reqFree[n-1] = nil
-		l.reqFree = l.reqFree[:n-1]
-		return r
-	}
-	return &SendReq{}
-}
+// newSendReq takes a zeroed send request from the pool.
+func (l *Lib) newSendReq() *SendReq { return l.reqPool.Get() }
 
 // FreeSendReq returns a send request to the pool. Drivers call it for
 // requests with no library completion (gets, acks, and replies after
@@ -75,7 +61,7 @@ func (l *Lib) newSendReq() *SendReq {
 // points (the reference NAL's deferred delivery) simply never call it.
 func (l *Lib) FreeSendReq(r *SendReq) {
 	*r = SendReq{}
-	l.reqFree = append(l.reqFree, r)
+	l.reqPool.Put(r)
 }
 
 // ---- Initiator-side operations ----

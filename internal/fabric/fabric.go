@@ -20,6 +20,7 @@ import (
 	"fmt"
 
 	"portals3/internal/model"
+	"portals3/internal/pool"
 	"portals3/internal/sim"
 	"portals3/internal/telemetry"
 	"portals3/internal/topo"
@@ -134,22 +135,23 @@ type Fabric struct {
 	meterList []*LinkMeter
 	holByHops []*telemetry.Histogram
 
-	// chunkFree recycles chunk carriers and their payload buffers between
+	// chunks recycles chunk carriers and their payload buffers between
 	// messages. A chunk cycles sender → wire → receiver and comes back via
 	// RecycleChunk once the receiver has consumed the bytes; pooling keeps
-	// the per-chunk data path allocation-free. walkFree does the same for
-	// the walkers that carry a header or chunk hop by hop.
-	chunkFree []*Chunk
-	// msgFree recycles message carriers; see RecycleMsg for the ownership
-	// rule.
-	msgFree  []*Message
-	walkFree []*walker
+	// the per-chunk data path allocation-free. walkers does the same for
+	// the walkers that carry a header or chunk hop by hop, msgs for message
+	// carriers (see RecycleMsg for the ownership rule).
+	chunks  pool.Pool[Chunk]
+	msgs    pool.Pool[Message]
+	walkers pool.Pool[walker]
 
 	Stats Stats
 }
 
 func newFabric(s *sim.Sim, t *topo.Topology, p *model.Params) *Fabric {
-	return &Fabric{S: s, Topo: t, P: p, links: make(map[linkKey]*sim.Server)}
+	f := &Fabric{S: s, Topo: t, P: p, links: make(map[linkKey]*sim.Server)}
+	f.walkers.New = newWalker
+	return f
 }
 
 // link returns (creating on first use) the serial resource for the directed
@@ -167,17 +169,13 @@ func (f *Fabric) link(node topo.NodeID, d topo.Dir) *sim.Server {
 // AllocChunk returns a chunk carrier with an n-byte data buffer, reusing a
 // recycled one when available.
 func (f *Fabric) AllocChunk(n int) *Chunk {
-	if k := len(f.chunkFree); k > 0 {
-		c := f.chunkFree[k-1]
-		f.chunkFree = f.chunkFree[:k-1]
-		if cap(c.Data) >= n {
-			c.Data = c.Data[:n]
-		} else {
-			c.Data = make([]byte, n)
-		}
-		return c
+	c := f.chunks.Get()
+	if cap(c.Data) >= n {
+		c.Data = c.Data[:n]
+	} else {
+		c.Data = make([]byte, n)
 	}
-	return &Chunk{Data: make([]byte, n)}
+	return c
 }
 
 // RecycleChunk returns a consumed chunk to the pool. The caller must be done
@@ -188,18 +186,7 @@ func (f *Fabric) RecycleChunk(c *Chunk) {
 	c.Last = false
 	c.Corrupt = false
 	c.OnInjected = nil
-	f.chunkFree = append(f.chunkFree, c)
-}
-
-// getMsg takes a zeroed message from the free list or allocates one.
-func (f *Fabric) getMsg() *Message {
-	if n := len(f.msgFree); n > 0 {
-		m := f.msgFree[n-1]
-		f.msgFree[n-1] = nil
-		f.msgFree = f.msgFree[:n-1]
-		return m
-	}
-	return &Message{}
+	f.chunks.Put(c)
 }
 
 // RecycleMsg returns a message whose life is over: the receiver calls it
@@ -216,7 +203,7 @@ func (f *Fabric) RecycleMsg(m *Message) {
 		f.Tel.DropMsgRec(m.Rec)
 	}
 	*m = Message{}
-	f.msgFree = append(f.msgFree, m)
+	f.msgs.Put(m)
 }
 
 // SetInline moves the (small) payload into the header packet: "these 12

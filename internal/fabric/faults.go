@@ -452,7 +452,7 @@ func (p *FaultPlane) swallowChunk(c *Chunk) {
 // demultiplex streams by ID), same wire contents and go-back-n sequence.
 func (p *FaultPlane) cloneMsg(m *Message) *Message {
 	f := p.f
-	m2 := f.getMsg()
+	m2 := f.msgs.Get()
 	m2.ID = p.pt.allocID()
 	m2.Hdr = m.Hdr
 	m2.Src = m.Src

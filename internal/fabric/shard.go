@@ -214,7 +214,7 @@ func (pt *NodePort) Attach(ep Endpoint) {
 // final chunk is injected) and inlining is the sender's explicit decision
 // via SetInline.
 func (pt *NodePort) NewStream(hdr wire.Header, src, dst topo.NodeID, payloadLen int) *Message {
-	m := pt.f.getMsg()
+	m := pt.f.msgs.Get()
 	m.ID = pt.allocID()
 	m.Hdr = hdr
 	m.Src = src
@@ -302,7 +302,7 @@ func (pt *NodePort) launchChunk(c *Chunk) {
 
 // launch hands a header (c nil) or chunk to a pooled walker at the source.
 func (pt *NodePort) launch(m *Message, c *Chunk, nbytes int64) {
-	w := pt.f.getWalker()
+	w := pt.f.walkers.Get()
 	w.pt, w.m, w.c, w.nbytes = pt, m, c, nbytes
 	w.hops = pt.f.Topo.Hops(m.Src, m.Dst)
 	now := pt.f.S.Now()
@@ -331,17 +331,9 @@ type walker struct {
 	stepFn, arriveFn, admitFn, deliverFn func()
 }
 
-func (f *Fabric) getWalker() *walker {
-	if k := len(f.walkFree); k > 0 {
-		w := f.walkFree[k-1]
-		f.walkFree = f.walkFree[:k-1]
-		return w
-	}
+func newWalker() *walker {
 	w := &walker{}
-	w.stepFn = w.step
-	w.arriveFn = w.arrive
-	w.admitFn = w.admit
-	w.deliverFn = w.deliver
+	w.stepFn, w.arriveFn, w.admitFn, w.deliverFn = w.step, w.arrive, w.admit, w.deliver
 	return w
 }
 
@@ -459,7 +451,7 @@ func (w *walker) deliver() {
 	pt, m, c := w.pt, w.m, w.c
 	w.pt, w.m, w.c = nil, nil, nil
 	f := pt.f
-	f.walkFree = append(f.walkFree, w)
+	f.walkers.Put(w)
 	ep := pt.cl.eps[pt.node]
 	if c == nil {
 		m.Rec.Stamp(telemetry.StampRxHdr, f.S.Now())

@@ -106,12 +106,12 @@ func TestClusterPoolHandoff(t *testing.T) {
 	// sides), so its carriers rest in lane 1's freelists and lane 0's — which
 	// the final receiver must never have written — stay empty.
 	l0, l1 := cl.lanes[0], cl.lanes[1]
-	if len(l0.chunkFree) != 0 || len(l0.msgFree) != 0 {
+	if l0.chunks.Len() != 0 || l0.msgs.Len() != 0 {
 		t.Errorf("lane 0 pools = %d chunks, %d msgs; want empty (carrier freed cross-lane?)",
-			len(l0.chunkFree), len(l0.msgFree))
+			l0.chunks.Len(), l0.msgs.Len())
 	}
-	if len(l1.chunkFree) != 1 || len(l1.msgFree) != 1 {
+	if l1.chunks.Len() != 1 || l1.msgs.Len() != 1 {
 		t.Errorf("lane 1 pools = %d chunks, %d msgs; want 1 and 1",
-			len(l1.chunkFree), len(l1.msgFree))
+			l1.chunks.Len(), l1.msgs.Len())
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"portals3/internal/fabric"
 	"portals3/internal/flightrec"
 	"portals3/internal/model"
+	"portals3/internal/pool"
 	"portals3/internal/seastar"
 	"portals3/internal/sim"
 	"portals3/internal/telemetry"
@@ -104,21 +105,11 @@ type Process struct {
 	// context, with NIC-side costs charged by the driver itself.
 	Handle func(ev Event)
 
-	rxFree   []*Pending
-	txFree   []*Pending
-	rxTotal  int
-	txTotal  int
-	rxLow    int // fewest rx pendings ever free (occupancy low-water)
-	txLow    int // fewest tx pendings ever free
+	// rx and tx are the firmware-managed receive and host-managed transmit
+	// pending pools, capped at their SRAM-charged sizes.
+	rx, tx   pool.Capped[Pending]
 	cmdSlots *sim.Credits
 }
-
-// RxPendingsFree reports free receive pendings (diagnostics, exhaustion
-// tests).
-func (p *Process) RxPendingsFree() int { return len(p.rxFree) }
-
-// TxPendingsFree reports free transmit pendings.
-func (p *Process) TxPendingsFree() int { return len(p.txFree) }
 
 // Pending is one upper/lower pending pair (§4.2). The lower half lives in
 // SeaStar SRAM and drives the data movement; the upper half lives in host
@@ -127,7 +118,6 @@ func (p *Process) TxPendingsFree() int { return len(p.txFree) }
 // never reads it back.
 type Pending struct {
 	proc *Process
-	tx   bool
 
 	// Upper pending contents (host visible after the HT write).
 	Hdr    wire.Header
@@ -147,9 +137,9 @@ type Pending struct {
 	done       func(ok bool)
 	released   bool
 
-	// Host-command callbacks, bound once per pooled structure, and the
-	// staged receive-command arguments they apply once the command's cycles
-	// have been charged (see Pending.stage).
+	// Host-command callbacks of a receive pending, bound once when the pool
+	// builds it, and the staged receive-command arguments they apply once
+	// the command's cycles have been charged (see Pending.stage).
 	progFn  func()
 	discFn  func()
 	relFn   func()
@@ -196,14 +186,7 @@ type TxReq struct {
 
 // AllocTxReq returns a zeroed transmit request from the NIC's pool. Drivers
 // use it with RecycleTxReq to keep the per-send path allocation-free.
-func (n *NIC) AllocTxReq() *TxReq {
-	if k := len(n.txrFree); k > 0 {
-		req := n.txrFree[k-1]
-		n.txrFree = n.txrFree[:k-1]
-		return req
-	}
-	return &TxReq{}
-}
+func (n *NIC) AllocTxReq() *TxReq { return n.txReqs.Get() }
 
 // RecycleTxReq returns a finished transmit request to the pool. Callers may
 // only recycle after the request's TX_DONE event was delivered — the
@@ -211,7 +194,7 @@ func (n *NIC) AllocTxReq() *TxReq {
 // request from its unacked list before posting the event).
 func (n *NIC) RecycleTxReq(req *TxReq) {
 	*req = TxReq{}
-	n.txrFree = append(n.txrFree, req)
+	n.txReqs.Put(req)
 }
 
 // source is the per-peer structure (§4.2): one per node this firmware is
@@ -306,19 +289,18 @@ type NIC struct {
 
 	killed bool
 
-	// txcFree and depFree recycle the per-chunk pipeline carriers (see
-	// tx.go/rx.go) so the data path allocates nothing per chunk; cmdFree,
-	// hdrFree and stubFree do the same for the per-message mailbox-command,
-	// header-dispatch and early-chunk-stub paths.
-	txcFree  []*txChunk
-	txjFree  []*txJob
-	tdFree   []*txDone
-	depFree  []*rxDeposit
-	cmdFree  []*cmdJob
-	hdrFree  []*hdrJob
-	stubFree []*Pending
-	evpFree  []*evPost
-	txrFree  []*TxReq
+	// Recycled carriers, so neither the per-chunk pipeline (tx.go/rx.go)
+	// nor the per-message command, header-dispatch, early-chunk-stub,
+	// event-post and transmit-request paths allocate in steady state.
+	txChunks pool.Pool[txChunk]
+	txJobs   pool.Pool[txJob]
+	txDones  pool.Pool[txDone]
+	deposits pool.Pool[rxDeposit]
+	cmdJobs  pool.Pool[cmdJob]
+	hdrJobs  pool.Pool[hdrJob]
+	stubs    pool.Pool[Pending]
+	evPosts  pool.Pool[evPost]
+	txReqs   pool.Pool[TxReq]
 
 	// hdrScratch is the header-encode buffer for CRC computation; methods
 	// use it instead of a stack array because the encode call makes a stack
@@ -352,6 +334,37 @@ func New(s *sim.Sim, p *model.Params, chip *seastar.Chip, fab *fabric.NodePort, 
 	}
 	n.OnPanic = func(reason string) {
 		panic(fmt.Sprintf("fw[node %d]: %s", node, reason))
+	}
+	n.txChunks.New = func() *txChunk {
+		t := &txChunk{n: n}
+		t.takeFn, t.readFn, t.injFn = t.take, t.read, t.injected
+		return t
+	}
+	n.txJobs.New = func() *txJob {
+		j := &txJob{n: n}
+		j.submitFn, j.startFn, j.hdrFn, j.inlFn = j.submit, j.start, j.hdrRead, j.inlRead
+		return j
+	}
+	n.txDones.New = func() *txDone {
+		d := &txDone{n: n}
+		d.injFn, d.doneFn = d.inj, d.done
+		return d
+	}
+	n.deposits.New = func() *rxDeposit {
+		d := &rxDeposit{n: n}
+		d.writeFn = d.write
+		return d
+	}
+	n.cmdJobs.New = newCmdJob
+	n.hdrJobs.New = func() *hdrJob {
+		j := &hdrJob{n: n}
+		j.fn = j.run
+		return j
+	}
+	n.evPosts.New = func() *evPost {
+		j := &evPost{n: n}
+		j.fn, j.crFn, j.rdFn = j.run, j.runCredits, j.runRxDone
+		return j
 	}
 	if err := chip.SRAM.Alloc("sources", int64(p.NumSources)*p.SourceBytes); err != nil {
 		return nil, err
@@ -414,17 +427,16 @@ func (n *NIC) newProcess(pid uint32, accel bool, pendings int, handle func(Event
 		ID:       pid,
 		Accel:    accel,
 		Handle:   handle,
-		rxTotal:  pendings / 2,
-		txTotal:  pendings - pendings/2,
-		rxLow:    pendings / 2,
-		txLow:    pendings - pendings/2,
 		cmdSlots: sim.NewCredits(n.S, name+".cmdfifo", mailboxSlots),
 	}
-	for i := 0; i < p.rxTotal; i++ {
-		p.rxFree = append(p.rxFree, &Pending{proc: p})
-	}
-	for i := 0; i < p.txTotal; i++ {
-		p.txFree = append(p.txFree, &Pending{proc: p, tx: true})
+	// The SRAM above is charged for every pending; the Go objects are
+	// built on first use, and the caps keep exhaustion exact. Transmit
+	// pendings carry only their request, so a zero Pending serves.
+	p.rx.Cap, p.tx.Cap = pendings/2, pendings-pendings/2
+	p.rx.New = func() *Pending {
+		q := &Pending{proc: p}
+		q.progFn, q.discFn, q.relFn = q.program, q.discard, q.release
+		return q
 	}
 	return p, nil
 }
@@ -490,7 +502,7 @@ func (n *NIC) postEvent(p *Process, ev Event) {
 	if n.FR != nil {
 		n.FR.Record(flightrec.KEvPost, n.S.Now(), ev.Span(), uint32(ev.Kind), 0)
 	}
-	j := n.getEvPost()
+	j := n.evPosts.Get()
 	j.p = p
 	j.ev = ev
 	n.Chip.WriteHost(fwEventBytes, j.fn)
@@ -511,24 +523,11 @@ type evPost struct {
 	rdFn    func()
 }
 
-func (n *NIC) getEvPost() *evPost {
-	if k := len(n.evpFree); k > 0 {
-		j := n.evpFree[k-1]
-		n.evpFree = n.evpFree[:k-1]
-		return j
-	}
-	j := &evPost{n: n}
-	j.fn = j.run
-	j.crFn = j.runCredits
-	j.rdFn = j.runRxDone
-	return j
-}
-
 func (j *evPost) recycle() (*NIC, *Process, Event) {
 	n, p, ev := j.n, j.p, j.ev
 	j.p = nil
 	j.ev = Event{}
-	n.evpFree = append(n.evpFree, j)
+	n.evPosts.Put(j)
 	return n, p, ev
 }
 
@@ -603,8 +602,8 @@ func (n *NIC) Occupancy() flightrec.Occupancy {
 		SRAMUsed:      n.Chip.SRAM.Used(),
 	}
 	if p := n.generic; p != nil {
-		o.RxPendFree, o.RxPendTotal, o.RxPendLow = len(p.rxFree), p.rxTotal, p.rxLow
-		o.TxPendFree, o.TxPendTotal, o.TxPendLow = len(p.txFree), p.txTotal, p.txLow
+		o.RxPendFree, o.RxPendTotal, o.RxPendLow = p.rx.Free(), p.rx.Cap, p.rx.Low()
+		o.TxPendFree, o.TxPendTotal, o.TxPendLow = p.tx.Free(), p.tx.Cap, p.tx.Low()
 	}
 	for _, s := range n.sources {
 		o.Unacked += len(s.unacked)

@@ -28,41 +28,20 @@ type hdrJob struct {
 	fn func()
 }
 
-func (n *NIC) getHdrJob() *hdrJob {
-	if k := len(n.hdrFree); k > 0 {
-		j := n.hdrFree[k-1]
-		n.hdrFree = n.hdrFree[:k-1]
-		return j
-	}
-	j := &hdrJob{n: n}
-	j.fn = j.run
-	return j
-}
-
 func (j *hdrJob) run() {
 	n, m := j.n, j.m
 	j.m = nil
-	n.hdrFree = append(n.hdrFree, j)
+	n.hdrJobs.Put(j)
 	n.handleHeader(m)
 }
 
-// getStub returns a stream stub for chunks racing ahead of the header
-// handler; stubs recycle once the real pending adopts their state.
-func (n *NIC) getStub(m *fabric.Message) *Pending {
-	if k := len(n.stubFree); k > 0 {
-		s := n.stubFree[k-1]
-		n.stubFree = n.stubFree[:k-1]
-		s.msg = m
-		return s
-	}
-	return &Pending{msg: m}
-}
-
+// putStub recycles a stream stub (see HeaderArrived) once the real pending
+// has adopted its state or the stream was condemned.
 func (n *NIC) putStub(s *Pending) {
 	s.msg = nil
 	s.queued = nil
 	s.arrived = 0
-	n.stubFree = append(n.stubFree, s)
+	n.stubs.Put(s)
 }
 
 // HeaderArrived implements fabric.Endpoint. It runs at hardware time: the
@@ -80,10 +59,13 @@ func (n *NIC) HeaderArrived(m *fabric.Message) {
 		return
 	}
 	if m.PayloadLen > 0 {
-		n.streams[m.ID] = n.getStub(m)
+		// A stub collects chunks racing ahead of the header handler.
+		stub := n.stubs.Get()
+		stub.msg = m
+		n.streams[m.ID] = stub
 		n.noteStreams()
 	}
-	j := n.getHdrJob()
+	j := n.hdrJobs.Get()
 	j.m = m
 	n.exec("rx-header", n.P.FwRxHdrCycles, j.fn)
 }
@@ -124,22 +106,17 @@ func (n *NIC) handleHeader(m *fabric.Message) {
 		n.Chip.RxFIFO.Put(hdrCredits)
 		return
 	}
-	if len(proc.rxFree) == 0 {
+	p := proc.rx.Get()
+	if p == nil {
 		if n.exhaust(m, "rx pending pool empty", flightrec.ExhaustRxPending) {
 			n.Chip.RxFIFO.Put(hdrCredits)
 		}
 		return
 	}
-	p := proc.rxFree[len(proc.rxFree)-1]
-	proc.rxFree = proc.rxFree[:len(proc.rxFree)-1]
-	if len(proc.rxFree) < proc.rxLow {
-		proc.rxLow = len(proc.rxFree)
-	}
-	n.FR.Record(flightrec.KPendAlloc, n.S.Now(), m.Span, uint32(len(proc.rxFree)), 0)
+	n.FR.Record(flightrec.KPendAlloc, n.S.Now(), m.Span, uint32(proc.rx.Free()), 0)
 	n.gbnAdvance(src, m)
 	n.FR.Record(flightrec.KRxHeader, n.S.Now(), m.Span, m.FwSeq, uint32(m.PayloadLen))
 	p.reset()
-	p.proc = proc
 	p.msg = m
 	p.Hdr = m.Hdr
 	p.Inline = m.Inline
@@ -190,7 +167,7 @@ func (n *NIC) handleHeader(m *fabric.Message) {
 		// Header and completion push to the host begins: the event-post
 		// attribution boundary for messages that fit the header packet.
 		m.Rec.Stamp(telemetry.StampEvPost, n.S.Now())
-		j := n.getEvPost()
+		j := n.evPosts.Get()
 		j.p = proc
 		j.ev = ev
 		j.credits = hdrCredits
@@ -211,7 +188,7 @@ func (n *NIC) handleHeader(m *fabric.Message) {
 	if n.FR != nil {
 		n.FR.Record(flightrec.KEvPost, n.S.Now(), m.Span, uint32(EvNewHeader), 0)
 	}
-	j := n.getEvPost()
+	j := n.evPosts.Get()
 	j.p = proc
 	j.ev = ev
 	j.credits = hdrCredits
@@ -282,23 +259,12 @@ type rxDeposit struct {
 	writeFn    func()
 }
 
-func (n *NIC) getDeposit() *rxDeposit {
-	if k := len(n.depFree); k > 0 {
-		d := n.depFree[k-1]
-		n.depFree = n.depFree[:k-1]
-		return d
-	}
-	d := &rxDeposit{n: n}
-	d.writeFn = d.write
-	return d
-}
-
 // write runs when the HyperTransport write completes: deposit the bytes,
 // return FIFO credits, recycle the chunk and the carrier.
 func (d *rxDeposit) write() {
 	n, p, c, dl := d.n, d.p, d.c, d.depositLen
 	d.p, d.c = nil, nil
-	n.depFree = append(n.depFree, d)
+	n.deposits.Put(d)
 	p.buf.WriteAt(p.bufOff+c.Off, c.Data[:dl])
 	n.Chip.RxFIFO.Put(int64(len(c.Data)))
 	p.consumed += len(c.Data)
@@ -321,7 +287,7 @@ func (n *NIC) consumeChunk(p *Pending, c *fabric.Chunk) {
 		}
 	}
 	if depositLen > 0 {
-		d := n.getDeposit()
+		d := n.deposits.Get()
 		d.p = p
 		d.c = c
 		d.depositLen = depositLen
@@ -346,8 +312,8 @@ func (n *NIC) checkRxComplete(p *Pending) {
 	delete(n.streams, p.msg.ID)
 	if p.discardAll {
 		// No completion event for discards. The host already released the
-		// pending (the pool hands out fresh structures, so this one keeps
-		// draining safely); nothing further to do.
+		// pending (its slot went back without it, so this one keeps draining
+		// safely); nothing further to do.
 		n.Stats.Discards++
 		return
 	}
@@ -364,7 +330,7 @@ func (n *NIC) checkRxComplete(p *Pending) {
 		}
 		n.FR.Record(flightrec.KRxDone, n.S.Now(), p.msg.Span, okA, 0)
 	}
-	j := n.getEvPost()
+	j := n.evPosts.Get()
 	j.p = p.proc
 	j.ev = Event{Kind: EvRxDone, Pending: p, OK: ok}
 	n.exec("rx-done", n.P.FwRxDoneCycles, j.rdFn)
@@ -386,11 +352,6 @@ func (p *Pending) SubmitRx(buf Buffer, bufOff, mlen int, done func(ok bool)) {
 // command callbacks bound once per pooled Pending, the receive command path
 // allocates nothing.
 func (p *Pending) stage(buf Buffer, bufOff, mlen int, done func(ok bool)) {
-	if p.progFn == nil {
-		p.progFn = p.program
-		p.discFn = p.discard
-		p.relFn = p.release
-	}
 	p.stgBuf = buf
 	p.stgOff = bufOff
 	p.stgMlen = mlen
@@ -415,16 +376,6 @@ func (p *Pending) discard() {
 
 func (p *Pending) release() { p.proc.nic.freeRx(p) }
 
-// bindCmds ensures the command callbacks are bound (for paths that skip
-// stage).
-func (p *Pending) bindCmds() {
-	if p.progFn == nil {
-		p.progFn = p.program
-		p.discFn = p.discard
-		p.relFn = p.release
-	}
-}
-
 // ProgramRx is the NIC-local equivalent of SubmitRx, used by accelerated
 // mode: the firmware matched the header itself, so the receive DMA engine
 // can be programmed immediately — no mailbox, no HyperTransport round trip
@@ -439,14 +390,12 @@ func (p *Pending) ProgramRx(buf Buffer, bufOff, mlen int, done func(ok bool)) {
 // DiscardLocal is the NIC-local equivalent of Discard.
 func (p *Pending) DiscardLocal() {
 	n := p.proc.nic
-	p.bindCmds()
 	n.exec("rx-discard-local", n.P.FwRxCmdCycles, p.discFn)
 }
 
 // ReleaseLocal is the NIC-local equivalent of Release.
 func (p *Pending) ReleaseLocal() {
 	n := p.proc.nic
-	p.bindCmds()
 	n.exec("release-local", n.P.FwReleaseCycles, p.relFn)
 }
 
@@ -456,7 +405,6 @@ func (p *Pending) ReleaseLocal() {
 // own.
 func (p *Pending) Discard() {
 	n := p.proc.nic
-	p.bindCmds()
 	p.proc.command(n.P.FwRxCmdCycles, p.discFn)
 }
 
@@ -465,7 +413,6 @@ func (p *Pending) Discard() {
 // pending contents.
 func (p *Pending) Release() {
 	n := p.proc.nic
-	p.bindCmds()
 	p.proc.command(n.P.FwReleaseCycles, p.relFn)
 }
 
@@ -484,8 +431,8 @@ func (n *NIC) drainQueued(p *Pending) {
 
 // freeRx returns a pending to its process pool. The released structure
 // itself is reused (adoption resets it) unless its discarded stream is
-// still draining, in which case the pool gets a fresh structure and the old
-// one keeps consuming safely.
+// still draining, in which case only its slot returns and the old structure
+// keeps consuming safely.
 func (n *NIC) freeRx(p *Pending) {
 	if p.released {
 		panic("fw: double release of rx pending")
@@ -498,10 +445,10 @@ func (n *NIC) freeRx(p *Pending) {
 		if p.msg != nil {
 			span = p.msg.Span
 		}
-		n.FR.Record(flightrec.KPendFree, n.S.Now(), span, uint32(len(proc.rxFree)+1), 0)
+		n.FR.Record(flightrec.KPendFree, n.S.Now(), span, uint32(proc.rx.Free()+1), 0)
 	}
 	if p.msg != nil && p.consumed < p.msg.PayloadLen {
-		proc.rxFree = append(proc.rxFree, &Pending{proc: proc})
+		proc.rx.Forfeit()
 		return
 	}
 	if p.msg != nil {
@@ -511,7 +458,7 @@ func (n *NIC) freeRx(p *Pending) {
 	}
 	p.msg = nil
 	p.Inline = nil
-	proc.rxFree = append(proc.rxFree, p)
+	proc.rx.Put(p)
 }
 
 // reset clears receive state for reuse.
@@ -566,16 +513,9 @@ type cmdJob struct {
 	runFn   func()
 }
 
-func (n *NIC) getCmdJob() *cmdJob {
-	if k := len(n.cmdFree); k > 0 {
-		j := n.cmdFree[k-1]
-		n.cmdFree = n.cmdFree[:k-1]
-		return j
-	}
+func newCmdJob() *cmdJob {
 	j := &cmdJob{}
-	j.takeFn = j.take
-	j.postFn = j.post
-	j.runFn = j.run
+	j.takeFn, j.postFn, j.runFn = j.take, j.post, j.run
 	return j
 }
 
@@ -592,7 +532,7 @@ func (j *cmdJob) run() {
 	p, h := j.p, j.handler
 	j.p, j.handler = nil, nil
 	n := p.nic
-	n.cmdFree = append(n.cmdFree, j)
+	n.cmdJobs.Put(j)
 	if n.FR != nil {
 		n.FR.Record(flightrec.KCmdDequeue, n.S.Now(), 0, uint32(p.ID), 0)
 	}
@@ -605,7 +545,7 @@ func (j *cmdJob) run() {
 // across HyperTransport, then runs handler as a firmware handler of the
 // given cycle cost. The slot frees when the firmware pops the command.
 func (p *Process) command(cycles int64, handler func()) {
-	j := p.nic.getCmdJob()
+	j := p.nic.cmdJobs.Get()
 	j.p = p
 	j.cycles = cycles
 	j.handler = handler

@@ -29,7 +29,7 @@ func (n *NIC) SubmitTx(req *TxReq) error {
 	if proc == nil {
 		return errors.New("fw: no firmware process for pid")
 	}
-	if len(proc.txFree) == 0 {
+	if proc.tx.Free() == 0 {
 		return ErrNoTxPending
 	}
 	if proc.Accel && req.Buf != nil && req.Buf.Segments() > 1 {
@@ -38,19 +38,15 @@ func (n *NIC) SubmitTx(req *TxReq) error {
 		// DMA command lists.
 		return ErrAccelNonContiguous
 	}
-	p := proc.txFree[len(proc.txFree)-1]
-	proc.txFree = proc.txFree[:len(proc.txFree)-1]
-	if len(proc.txFree) < proc.txLow {
-		proc.txLow = len(proc.txFree)
-	}
+	p := proc.tx.Get()
 	// The causal span is minted here, at the top of the transmit path, and
 	// copied onto every fabric message built from this request — including
 	// go-back-n retransmissions — so one span traces the message end to end.
 	req.Span = n.FR.NewSpan()
-	n.FR.Record(flightrec.KPendAlloc, n.S.Now(), req.Span, uint32(len(proc.txFree)), 1)
+	n.FR.Record(flightrec.KPendAlloc, n.S.Now(), req.Span, uint32(proc.tx.Free()), 1)
 	p.req = req
 	req.pending = p
-	j := n.getTxJob()
+	j := n.txJobs.Get()
 	j.req = req
 	req.job = j
 	proc.command(n.P.FwTxCmdCycles, j.submitFn)
@@ -68,20 +64,6 @@ type txJob struct {
 	startFn  func() // tx-program handler: fetch the header
 	hdrFn    func() // header fetched from host memory
 	inlFn    func() // inline payload fetched from host memory
-}
-
-func (n *NIC) getTxJob() *txJob {
-	if k := len(n.txjFree); k > 0 {
-		j := n.txjFree[k-1]
-		n.txjFree = n.txjFree[:k-1]
-		return j
-	}
-	j := &txJob{n: n}
-	j.submitFn = j.submit
-	j.startFn = j.start
-	j.hdrFn = j.hdrRead
-	j.inlFn = j.inlRead
-	return j
 }
 
 func (j *txJob) submit() {
@@ -167,7 +149,7 @@ func (n *NIC) pumpTx() {
 	if req.job == nil {
 		// Control frames and go-back-n retransmissions arrive without a
 		// carrier (theirs was recycled when the first attempt started).
-		req.job = n.getTxJob()
+		req.job = n.txJobs.Get()
 		req.job.req = req
 	}
 	n.exec("tx-program", n.P.FwDMAProgramCycles, req.job.startFn)
@@ -179,7 +161,7 @@ func (n *NIC) pumpTx() {
 func (n *NIC) txHeaderReady(req *TxReq, inline []byte) {
 	if req.job != nil {
 		req.job.req = nil
-		n.txjFree = append(n.txjFree, req.job)
+		n.txJobs.Put(req.job)
 		req.job = nil
 	}
 	payloadLen := req.Len
@@ -209,7 +191,7 @@ func (n *NIC) txHeaderReady(req *TxReq, inline []byte) {
 	n.FR.Record(flightrec.KTxHeader, n.S.Now(), req.Span, req.seq, uint32(payloadLen))
 	if payloadLen == 0 {
 		m.SetCRC(req.crc)
-		d := n.getTxDone()
+		d := n.txDones.Get()
 		d.req = req
 		m.OnInjected = d.injFn
 		n.Fab.SendHeader(m)
@@ -229,29 +211,17 @@ type txDone struct {
 	doneFn func() // tx-done handler body
 }
 
-func (n *NIC) getTxDone() *txDone {
-	if k := len(n.tdFree); k > 0 {
-		d := n.tdFree[k-1]
-		n.tdFree = n.tdFree[:k-1]
-		return d
-	}
-	d := &txDone{n: n}
-	d.injFn = d.inj
-	d.doneFn = d.done
-	return d
-}
-
 func (d *txDone) inj() {
 	n, req := d.n, d.req
 	d.req = nil
-	n.tdFree = append(n.tdFree, d)
+	n.txDones.Put(d)
 	n.txComplete(req)
 }
 
 func (d *txDone) done() {
 	n, req := d.n, d.req
 	d.req = nil
-	n.tdFree = append(n.tdFree, d)
+	n.txDones.Put(d)
 	if n.txqHead == len(n.txq) || n.txq[n.txqHead] != req {
 		panic("fw: tx completion out of order")
 	}
@@ -287,25 +257,12 @@ type txChunk struct {
 	injFn   func() // chunk entered the wire
 }
 
-func (n *NIC) getTxChunk() *txChunk {
-	if k := len(n.txcFree); k > 0 {
-		t := n.txcFree[k-1]
-		n.txcFree = n.txcFree[:k-1]
-		return t
-	}
-	t := &txChunk{n: n}
-	t.takeFn = t.take
-	t.readFn = t.read
-	t.injFn = t.injected
-	return t
-}
-
 // txNextChunk runs the payload pipeline: reserve TX FIFO space, DMA-read
 // the chunk from host memory (zero-copy: bytes are captured at read time),
 // fold it into the running CRC, and inject it. When the FIFO is full the
 // state machine yields, exactly as §4.3 describes.
 func (n *NIC) txNextChunk(req *TxReq, off int) {
-	t := n.getTxChunk()
+	t := n.txChunks.Get()
 	t.req = req
 	t.off = off
 	t.sz = n.P.ChunkBytes
@@ -350,7 +307,7 @@ func (t *txChunk) injected() {
 		n.FR.Record(flightrec.KChunkTx, n.S.Now(), req.Span, uint32(t.off), uint32(sz))
 	}
 	t.req = nil
-	n.txcFree = append(n.txcFree, t)
+	n.txChunks.Put(t)
 	n.Chip.TxFIFO.Put(int64(sz))
 	if last {
 		n.txComplete(req)
@@ -361,7 +318,7 @@ func (t *txChunk) injected() {
 // from the TX pending list, post the transmit-complete event (unless
 // go-back-n holds it for the peer's ack), and pump the next message.
 func (n *NIC) txComplete(req *TxReq) {
-	d := n.getTxDone()
+	d := n.txDones.Get()
 	d.req = req
 	n.exec("tx-done", n.P.FwTxDoneCycles, d.doneFn)
 }
@@ -373,10 +330,10 @@ func (n *NIC) finishTx(req *TxReq, ok bool) {
 	if req.pending != nil {
 		p := req.pending
 		p.req = nil
-		proc.txFree = append(proc.txFree, p)
+		proc.tx.Put(p)
 		req.pending = nil
 		if n.FR != nil {
-			n.FR.Record(flightrec.KPendFree, n.S.Now(), req.Span, uint32(len(proc.txFree)), 1)
+			n.FR.Record(flightrec.KPendFree, n.S.Now(), req.Span, uint32(proc.tx.Free()), 1)
 		}
 	}
 	n.Stats.Completions++

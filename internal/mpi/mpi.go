@@ -20,6 +20,7 @@ import (
 	"portals3/internal/core"
 	"portals3/internal/model"
 	"portals3/internal/nal"
+	"portals3/internal/pool"
 	"portals3/internal/sim"
 )
 
@@ -159,10 +160,10 @@ type Rank struct {
 	fence core.MEHandle
 
 	unexpected []*unexpMsg
-	// reqFree recycles Requests whose lifetime the blocking wrappers fully
+	// reqPool recycles Requests whose lifetime the blocking wrappers fully
 	// own (Send/Recv/Sendrecv); Isend/Irecv handles returned to callers are
 	// never pooled.
-	reqFree []*Request
+	reqPool pool.Pool[Request]
 	// sinkInflight counts messages that have started arriving into sinks
 	// (PUT_START seen) but not yet completed (PUT_END pending); the arming
 	// protocol refuses to arm a posted receive while any are outstanding,

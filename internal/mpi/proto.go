@@ -33,15 +33,8 @@ type Request struct {
 
 // newRequest builds a request with its event tag pointing back at it.
 func (r *Rank) newRequest() *Request {
-	if n := len(r.reqFree); n > 0 {
-		req := r.reqFree[n-1]
-		r.reqFree[n-1] = nil
-		r.reqFree = r.reqFree[:n-1]
-		*req = Request{r: r}
-		req.tag.req = req
-		return req
-	}
-	req := &Request{r: r}
+	req := r.reqPool.Get()
+	*req = Request{r: r}
 	req.tag.req = req
 	return req
 }
@@ -51,7 +44,7 @@ func (r *Rank) newRequest() *Request {
 // time Wait returns, and the handle never escapes to the application.
 func (r *Rank) freeRequest(req *Request) {
 	*req = Request{}
-	r.reqFree = append(r.reqFree, req)
+	r.reqPool.Put(req)
 }
 
 // Done reports completion without progressing the engine.

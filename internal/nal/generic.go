@@ -6,6 +6,7 @@ import (
 	"portals3/internal/fw"
 	"portals3/internal/model"
 	"portals3/internal/oskernel"
+	"portals3/internal/pool"
 	"portals3/internal/sim"
 	"portals3/internal/telemetry"
 	"portals3/internal/topo"
@@ -47,9 +48,9 @@ type GenericDriver struct {
 	// loop runs per event and a fresh method value per pass is measurable.
 	drainFn func()
 	doneFn  func()
-	evjFree []*evJob
-	rcbFree []*rxCb
-	scbFree []*sendCb
+	evJobs  pool.Pool[evJob]
+	rxCbs   pool.Pool[rxCb]
+	sendCbs pool.Pool[sendCb]
 
 	// Stats for tests and reports.
 	EventsHandled uint64
@@ -62,6 +63,21 @@ func NewGeneric(k *oskernel.Kernel, nic *fw.NIC, tp *topo.Topology, p *model.Par
 	d := &GenericDriver{S: k.S, P: p, K: k, NIC: nic, Topo: tp, libs: make(map[uint32]*core.Lib)}
 	d.drainFn = d.drain
 	d.doneFn = func() { d.K.InterruptDone() }
+	d.evJobs.New = func() *evJob {
+		j := &evJob{d: d}
+		j.matchFn, j.applyFn = j.match, j.applyNext
+		return j
+	}
+	d.rxCbs.New = func() *rxCb {
+		c := &rxCb{d: d}
+		c.fn = c.run
+		return c
+	}
+	d.sendCbs.New = func() *sendCb {
+		c := &sendCb{d: d}
+		c.fn = c.run
+		return c
+	}
 	if _, err := nic.RegisterGeneric(p.NumGenericPendings, d.fwEvent); err != nil {
 		return nil, err
 	}
@@ -124,7 +140,7 @@ func (d *GenericDriver) send(pid uint32, req *core.SendReq) {
 		// A get reply completes the target side of the get at TX done; a
 		// put posts SEND_END. Gets and acks carry no local completion
 		// semantics and leave Done nil.
-		c := d.getSendCb()
+		c := d.sendCbs.Get()
 		c.lib = lib
 		c.req = req
 		tx.Done = c.fn
@@ -146,21 +162,10 @@ type sendCb struct {
 	fn  func(ok bool)
 }
 
-func (d *GenericDriver) getSendCb() *sendCb {
-	if k := len(d.scbFree); k > 0 {
-		c := d.scbFree[k-1]
-		d.scbFree = d.scbFree[:k-1]
-		return c
-	}
-	c := &sendCb{d: d}
-	c.fn = c.run
-	return c
-}
-
 func (c *sendCb) run(ok bool) {
 	d, lib, req := c.d, c.lib, c.req
 	c.lib, c.req = nil, nil
-	d.scbFree = append(d.scbFree, c)
+	d.sendCbs.Put(c)
 	if req.RxOp != nil {
 		// A get reply: completing the transmission completes the target
 		// side of the get.
@@ -231,13 +236,13 @@ func (d *GenericDriver) drain() {
 		// runs before the library walk (whose events first become visible
 		// to applications), then the walk-dependent and command-building
 		// cost before the firmware command goes out.
-		j := d.getEvJob()
+		j := d.evJobs.Get()
 		j.ev = ev
 		j.next = next
 		d.K.KernelWork(d.P.HostMatchBaseCycles, j.matchFn)
 		return
 	}
-	j := d.getEvJob()
+	j := d.evJobs.Get()
 	j.ev = ev
 	j.next = next
 	cycles := d.process(j, ev)
@@ -275,18 +280,6 @@ type evJob struct {
 	applyFn func() // walk-dependent cost charged; apply and continue
 }
 
-func (d *GenericDriver) getEvJob() *evJob {
-	if k := len(d.evjFree); k > 0 {
-		j := d.evjFree[k-1]
-		d.evjFree = d.evjFree[:k-1]
-		return j
-	}
-	j := &evJob{d: d}
-	j.matchFn = j.match
-	j.applyFn = j.applyNext
-	return j
-}
-
 func (j *evJob) match() {
 	cycles := j.d.processHeader(j, j.ev)
 	j.d.K.KernelWork(cycles, j.applyFn)
@@ -299,7 +292,7 @@ func (j *evJob) applyNext() {
 	j.next = nil
 	j.action = evActNone
 	j.lib, j.op = nil, nil
-	d.evjFree = append(d.evjFree, j)
+	d.evJobs.Put(j)
 	d.apply(action, ev, lib, op)
 	next()
 }
@@ -376,7 +369,7 @@ func (d *GenericDriver) apply(action evAction, ev fw.Event, lib *core.Lib, op *c
 		p.Release()
 	case evActRxCmd:
 		// Payload follows: answer with the receive command.
-		c := d.getRxCb()
+		c := d.rxCbs.Get()
 		c.lib = lib
 		c.op = op
 		c.pid = p.Hdr.DstPid
@@ -409,21 +402,10 @@ type rxCb struct {
 	fn  func(ok bool)
 }
 
-func (d *GenericDriver) getRxCb() *rxCb {
-	if k := len(d.rcbFree); k > 0 {
-		c := d.rcbFree[k-1]
-		d.rcbFree = d.rcbFree[:k-1]
-		return c
-	}
-	c := &rxCb{d: d}
-	c.fn = c.run
-	return c
-}
-
 func (c *rxCb) run(ok bool) {
 	d, lib, op, pid := c.d, c.lib, c.op, c.pid
 	c.lib, c.op = nil, nil
-	d.rcbFree = append(d.rcbFree, c)
+	d.rxCbs.Put(c)
 	if ack := lib.Delivered(op, ok); ack != nil {
 		d.send(pid, ack)
 	}

@@ -107,3 +107,52 @@ func TestProcPanicReachesRunCaller(t *testing.T) {
 		t.Errorf("%d processes live after Close", len(s.live))
 	}
 }
+
+// TestKernelLanePanicReachesCaller: on a parallel kernel, a panic on a
+// worker's lane or on the coordinator's own lane 0 reaches the caller of
+// Run once every lane has finished its window, the lowest lane's value
+// first, and leaves no lane worker behind.
+func TestKernelLanePanicReachesCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, tc := range []struct {
+		name   string
+		faulty []int
+		want   string
+	}{
+		{"lane1", []int{1}, "boom1"},
+		{"lane0", []int{0}, "boom0"},
+		{"both", []int{0, 1}, "boom0"},
+	} {
+		start := runtime.NumGoroutine()
+		k := NewKernel(2, 100)
+		ran := [2]bool{}
+		for i := 0; i < 2; i++ {
+			k.Lane(i).At(50, func() { ran[i] = true })
+		}
+		for _, i := range tc.faulty {
+			k.Lane(i).Go("faulty", func(p *Proc) {
+				p.Sleep(50)
+				panic("boom" + string(rune('0'+i)))
+			})
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != tc.want {
+					t.Fatalf("%s: recovered %v, want %s", tc.name, r, tc.want)
+				}
+			}()
+			k.Run()
+		}()
+		if !ran[0] || !ran[1] {
+			t.Errorf("%s: window events ran = %v; every lane must finish its window", tc.name, ran)
+		}
+		n := runtime.NumGoroutine()
+		for i := 0; i < 200 && n > start; i++ {
+			time.Sleep(time.Millisecond)
+			n = runtime.NumGoroutine()
+		}
+		if n > start {
+			t.Errorf("%s: %d goroutines after the panic, started with %d", tc.name, n, start)
+		}
+	}
+}

@@ -77,6 +77,8 @@ type Kernel struct {
 	// Persistent workers (lanes 1..n-1; lane 0 runs on the coordinator).
 	work []chan Time
 	join chan struct{}
+	// faults[i] is what lane i panicked with in the current parallel window.
+	faults []any
 
 	// ticks are the registered barrier ticks (Every), the hook shard-aware
 	// observers hang off.
@@ -356,26 +358,14 @@ func (k *Kernel) windowLoop(limit Time) {
 	if parallel && k.work == nil {
 		k.work = make([]chan Time, n)
 		k.join = make(chan struct{}, n)
-		// Lane busy times are profiler state, but workers capture the slice
-		// at creation: EnableHostProfile is documented to precede Run.
-		var busy []int64
-		if hp != nil {
-			busy = k.laneBusy
-		}
+		k.faults = make([]any, n)
 		for i := 1; i < n; i++ {
 			ch := make(chan Time)
 			k.work[i] = ch
-			lane := k.lanes[i]
 			id := i
 			go pprof.Do(context.Background(), pprof.Labels("lane", strconv.Itoa(id)), func(context.Context) {
 				for h := range ch {
-					if busy != nil {
-						t0 := time.Now()
-						lane.RunUntil(h)
-						busy[id] = int64(time.Since(t0))
-					} else {
-						lane.RunUntil(h)
-					}
+					k.faults[id] = k.runLane(id, h)
 					k.join <- struct{}{}
 				}
 			})
@@ -435,25 +425,20 @@ func (k *Kernel) windowLoop(limit Time) {
 			for i := 1; i < n; i++ {
 				k.work[i] <- h
 			}
-			if hp != nil {
-				t0 := time.Now()
-				k.lanes[0].RunUntil(h)
-				k.laneBusy[0] = int64(time.Since(t0))
-			} else {
-				k.lanes[0].RunUntil(h)
-			}
+			k.faults[0] = k.runLane(0, h)
 			for i := 1; i < n; i++ {
 				<-k.join
 			}
-		} else if hp != nil {
-			for i, l := range k.lanes {
-				t0 := time.Now()
-				l.RunUntil(h)
-				k.laneBusy[i] = int64(time.Since(t0))
+			// Every lane has joined; the deferred close releases the
+			// workers as the lowest lane's panic unwinds to the caller.
+			for _, f := range k.faults {
+				if f != nil {
+					panic(f)
+				}
 			}
 		} else {
-			for _, l := range k.lanes {
-				l.RunUntil(h)
+			for i := range k.lanes {
+				k.timeLane(i, h)
 			}
 		}
 		if hp != nil {
@@ -463,6 +448,28 @@ func (k *Kernel) windowLoop(limit Time) {
 			hp.window(k, exec)
 		}
 	}
+}
+
+// timeLane runs lane i to horizon h, recording its busy time when the
+// profiler is on (EnableHostProfile precedes Run, so workers read k.prof
+// race-free).
+func (k *Kernel) timeLane(i int, h Time) {
+	if k.prof == nil {
+		k.lanes[i].RunUntil(h)
+		return
+	}
+	t0 := time.Now()
+	k.lanes[i].RunUntil(h)
+	k.laneBusy[i] = int64(time.Since(t0))
+}
+
+// runLane is timeLane for a parallel window: it returns what the lane
+// panicked with (nil if nothing) instead of unwinding, so every lane
+// reaches the join before the coordinator re-panics.
+func (k *Kernel) runLane(i int, h Time) (fault any) {
+	defer func() { fault = recover() }()
+	k.timeLane(i, h)
+	return nil
 }
 
 // Close stops every process on every lane (Sim.Close).

@@ -18,6 +18,7 @@
 package telemetry
 
 import (
+	"portals3/internal/pool"
 	"portals3/internal/sim"
 )
 
@@ -126,9 +127,9 @@ type Telemetry struct {
 	// first completion at that distance.
 	byHops []*Histogram
 
-	series  []*Series
-	sindex  map[string]*Series
-	recFree []*MsgRec
+	series []*Series
+	sindex map[string]*Series
+	recs   pool.Pool[MsgRec]
 }
 
 // New returns an enabled telemetry handle with the message-attribution
@@ -154,13 +155,7 @@ func (t *Telemetry) NewMsgRec(bytes int) *MsgRec {
 	if t == nil {
 		return nil
 	}
-	var r *MsgRec
-	if n := len(t.recFree); n > 0 {
-		r = t.recFree[n-1]
-		t.recFree = t.recFree[:n-1]
-	} else {
-		r = &MsgRec{}
-	}
+	r := t.recs.Get()
 	r.reset(bytes)
 	return r
 }
@@ -185,7 +180,7 @@ func (t *Telemetry) FinishMsg(r *MsgRec) {
 	} else {
 		t.incomplete.Inc()
 	}
-	t.recFree = append(t.recFree, r)
+	t.recs.Put(r)
 }
 
 // DropMsgRec returns a record to the pool without recording it — the
@@ -195,7 +190,7 @@ func (t *Telemetry) DropMsgRec(r *MsgRec) {
 		return
 	}
 	t.incomplete.Inc()
-	t.recFree = append(t.recFree, r)
+	t.recs.Put(r)
 }
 
 // SegmentHist returns the histogram for one latency segment.

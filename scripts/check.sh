@@ -119,18 +119,20 @@ echo "check.sh: halo allocs/op within 5% (seq $seq_allocs, 4 shards $par_allocs)
 # armed (telemetry, RAS sampler, link meters, stall detector, heartbeat
 # monitor, flight recorder; tracing excepted — it allocates per record by
 # design). The added allocations are instrument registration plus the
-# end-of-run merge/export — a fixed cost, not per-event — so the ratio
-# against the bare sharded arm is gated: measured ~1.69x, fails above
-# 1.8x (a reintroduced per-event allocation blows well past that).
+# end-of-run merge/export — a fixed cost, not per-event — so the absolute
+# delta over the bare sharded arm is gated: measured ~589k, fails above
+# 650k (a reintroduced per-event allocation blows well past that). A ratio
+# would not do: the bare arm is small since firmware pendings are built on
+# first use, so the fixed observer cost reads as a large multiple of it.
 # Wall-clock over 3x only warns; it is machine-dependent.
 obs_alloc_ok=$(awk -v o="$obs_allocs" -v b="$par_allocs" \
-    'BEGIN { print (o <= 1.8 * b) ? 1 : 0 }')
+    'BEGIN { print (o - b <= 650000) ? 1 : 0 }')
 if [ "$obs_alloc_ok" != "1" ]; then
-    echo "FAIL: observed halo allocs/op = $obs_allocs, bare sharded = $par_allocs (>1.8x)"
+    echo "FAIL: observed halo allocs/op = $obs_allocs, bare sharded = $par_allocs (delta >650000)"
     echo "check.sh: observer allocation regression"
     exit 1
 fi
-echo "check.sh: observed halo allocs/op within 1.8x of bare (bare $par_allocs, observed $obs_allocs)"
+echo "check.sh: observed halo allocs/op within 650000 of bare (bare $par_allocs, observed $obs_allocs)"
 obs_ns_ok=$(awk -v o="$obs_ns" -v b="$par_ns" 'BEGIN { print (o <= 3.0 * b) ? 1 : 0 }')
 if [ "$obs_ns_ok" != "1" ]; then
     echo "WARN: observed halo ns/op = $obs_ns, bare sharded = $par_ns (>3x; machine-dependent, not fatal)"
